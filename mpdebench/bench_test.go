@@ -21,44 +21,34 @@ func TestMain(m *testing.M) {
 }
 
 type benchmarkFile struct {
+	benchSpec
 	Workloads []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
-	EndToEnd []struct {
-		Name string `json:"name"`
-		Unit string `json:"unit"`
-	} `json:"end_to_end"`
-	PerLayer []struct {
-		Name string `json:"name"`
-		Unit string `json:"unit"`
-	} `json:"per_layer"`
 }
 
 // exactCounts are per-layer values of the default seed that depend only
 // on the workload's inputs. Drift means the workload changed, not the
 // speed.
 var exactCounts = map[string]map[string]float64{
-	"qpss-direct": {
-		"la.fill_factor":      17.417214912280702,
-		"la.lu_nnz":           1143684,
-		"core.grid_points":    1728,
-		"core.jacobian_nnz":   65664,
-		"solver.newton_iters": 8,
-	},
 	"sweep-matfree": {
 		"core.grid_points":    3072,
 		"solver.newton_iters": 34,
 	},
 	"service-repeat": {
+		"la.fill_factor":         9.747532894736842,
+		"la.lu_nnz":              142236,
 		"core.grid_points":       384,
+		"core.jacobian_nnz":      14592,
 		"solver.newton_iters":    1.8,
 		"server.cache_hit_ratio": 0.8,
 	},
 }
 
 // TestSmoke runs every workload of BENCHMARK.json at minimal length, with
-// and without tracing, and checks that every output check passes and that
-// every metric BENCHMARK.json names is printed with its unit.
+// and without tracing, and checks that every output check passes, that
+// every metric BENCHMARK.json names is printed with its unit, and that
+// every per-layer metric it names is measured by some workload.
 func TestSmoke(t *testing.T) {
 	raw, err := os.ReadFile("../BENCHMARK.json")
 	if err != nil {
@@ -71,6 +61,7 @@ func TestSmoke(t *testing.T) {
 	if len(bf.Workloads) != len(workloads) {
 		t.Errorf("BENCHMARK.json names %d workloads, the benchmark runs %d", len(bf.Workloads), len(workloads))
 	}
+	measured := map[string]bool{}
 	for _, w := range bf.Workloads {
 		for _, trace := range []string{"0", "1"} {
 			want := map[string]string{}
@@ -84,7 +75,10 @@ func TestSmoke(t *testing.T) {
 				}
 			}
 			t.Run(w.Name+"/trace"+trace, func(t *testing.T) {
-				res := smokeRun(t, w.Name, trace)
+				res, prov := smokeRun(t, w.Name, trace)
+				for _, name := range prov.LayersMeasured {
+					measured[name] = true
+				}
 				if len(res.Metrics) != len(want) {
 					t.Errorf("printed %d metrics, BENCHMARK.json names %d", len(res.Metrics), len(want))
 				}
@@ -111,12 +105,21 @@ func TestSmoke(t *testing.T) {
 			})
 		}
 	}
+	for _, m := range bf.PerLayer {
+		if !measured[m.Name] {
+			t.Errorf("per-layer metric %s is measured by no workload", m.Name)
+		}
+	}
 }
 
-func smokeRun(t *testing.T, workload, trace string) result {
+type provenance struct {
+	LayersMeasured []string `json:"layers_measured"`
+}
+
+func smokeRun(t *testing.T, workload, trace string) (result, provenance) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	args := []string{"--workload", workload, "--smoke", "--trace", trace, "--trace-dir", t.TempDir()}
+	args := []string{"--workload", workload, "--smoke", "--trace", trace, "--trace-dir", t.TempDir(), "--spec", "../BENCHMARK.json"}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
@@ -128,7 +131,15 @@ func smokeRun(t *testing.T, workload, trace string) result {
 	if !res.Correct || res.Failed != 0 || res.Attempted < 1 {
 		t.Fatalf("output checks: correct=%v failed=%d attempted=%d\n%s", res.Correct, res.Failed, res.Attempted, stdout.String())
 	}
-	return res
+	var prov provenance
+	for _, l := range lines {
+		if p, ok := strings.CutPrefix(l, "provenance "); ok {
+			if err := json.Unmarshal([]byte(p), &prov); err != nil {
+				t.Fatalf("provenance line: %v", err)
+			}
+		}
+	}
+	return res, prov
 }
 
 func TestTailPercentile(t *testing.T) {

@@ -22,42 +22,6 @@ import (
 // defaultSeed is the seed whose outputs reference.json pins.
 const defaultSeed = 1
 
-// layerUnits names every per-layer metric and its unit. Each is per
-// request unless its name says otherwise.
-var layerUnits = map[string]string{
-	"la.factor_s":               "s",
-	"la.fill_factor":            "ratio",
-	"la.lu_nnz":                 "count",
-	"la.factorizations":         "count",
-	"la.refactorizations":       "count",
-	"la.batch_reuse":            "count",
-	"la.gmres_iters":            "count",
-	"la.gmres_fallbacks":        "count",
-	"la.gmres_useful_frac":      "fraction",
-	"core.assembly_s":           "s",
-	"core.operator_applies":     "count",
-	"core.precond_builds":       "count",
-	"core.unattributed_s":       "s",
-	"core.grid_points":          "count",
-	"core.jacobian_nnz":         "count",
-	"solver.newton_iters":       "count",
-	"solver.halvings":           "count",
-	"solver.warm_iters_per_job": "count",
-	"analysis.run_s":            "s",
-	"sweep.job_s_p50":           "s",
-	"sweep.pool_busy_frac":      "fraction",
-	"server.hit_s_p50":          "s",
-	"server.miss_s_p50":         "s",
-	"server.cache_hit_ratio":    "fraction",
-	"server.job_s":              "s",
-	"server.miss_overhead_s":    "s",
-	"netlist.parse_s":           "s",
-	"netlist.canonical_s":       "s",
-	"dispatch.shards_per_miss":  "count",
-	"obs.overhead_frac":         "fraction",
-	"obs.spans_per_request":     "count",
-}
-
 // runner is one workload's request loop body.
 type runner interface {
 	// setup builds the inputs and runs one untimed cold request of each
@@ -70,7 +34,8 @@ type runner interface {
 	// check verifies request i's output outside the timed interval and
 	// accounts its per-layer counters.
 	check(ctx context.Context, i int, in, out any, lat time.Duration) error
-	// layers reports the per-layer metrics over the n checked requests.
+	// layers reports the per-layer metrics over the n checked requests; it
+	// runs in --trace 1 children only.
 	layers(ctx context.Context, n int) (map[string]float64, error)
 	// env reports the worker counts the workload pinned.
 	env() map[string]any
@@ -81,16 +46,17 @@ type workload struct {
 	procs int // GOMAXPROCS of the child process
 	// block makes timed requests run in whole blocks, so a request mix
 	// defined per block (service-repeat's 4 hits per miss) is exact.
-	block     int
-	setups    int // set-ups per run; setup_s is their median
-	smoke     int // timed requests in --smoke mode
-	newRunner func(seed int64) runner
+	block  int
+	setups int // set-ups per run; setup_s is their median
+	smoke  int // timed requests in --smoke mode
+	// newRunner builds the workload's inputs from seed; perLayer says the
+	// run reports the per-layer split, so checks may also account it.
+	newRunner func(seed int64, perLayer bool) runner
 }
 
 var workloads = map[string]workload{
-	"qpss-direct":    {procs: 1, block: 1, setups: 5, smoke: 2, newRunner: newQPSSDirect},
 	"sweep-matfree":  {procs: 2, block: 1, setups: 5, smoke: 1, newRunner: newSweepMatfree},
-	"service-repeat": {procs: 2, block: 5, setups: 7, smoke: 5, newRunner: newServiceRepeat},
+	"service-repeat": {procs: 2, block: 5, setups: 15, smoke: 5, newRunner: newServiceRepeat},
 }
 
 func workloadNames() []string {
@@ -110,7 +76,7 @@ type childResult struct {
 	Failures   []string           `json:"failures,omitempty"`
 	SetupS     []float64          `json:"setup_s"`
 	LatencyS   []float64          `json:"latency_s"`
-	BusyS      float64            `json:"busy_s"`
+	WallS      float64            `json:"wall_s"` // the timed loop's wall time
 	AllocBytes float64            `json:"alloc_bytes"`
 	PeakRSSMB  float64            `json:"peak_rss_mb"`
 	Layers     map[string]float64 `json:"layers,omitempty"`
@@ -123,7 +89,7 @@ const maxReportedFailures = 5
 func runChild(ctx context.Context, cfg config, traced bool, stdout io.Writer) error {
 	w := workloads[cfg.workload]
 	runtime.GOMAXPROCS(w.procs)
-	r := w.newRunner(cfg.seed)
+	r := w.newRunner(cfg.seed, cfg.trace)
 	defer r.close()
 	res := &childResult{Workload: cfg.workload}
 
@@ -169,7 +135,6 @@ func runChild(ctx context.Context, cfg config, traced bool, stdout io.Writer) er
 		lat := time.Since(t0)
 		res.AllocBytes += float64(allocatedBytes() - a0)
 		res.Attempted++
-		res.BusyS += lat.Seconds()
 		if err != nil {
 			fail(i, err)
 			continue
@@ -180,29 +145,31 @@ func runChild(ctx context.Context, cfg config, traced bool, stdout io.Writer) er
 		}
 		res.LatencyS = append(res.LatencyS, lat.Seconds())
 	}
+	res.WallS = time.Since(start).Seconds()
 	res.PeakRSSMB = peakRSSMB()
 
-	layers, err := r.layers(ctx, len(res.LatencyS))
-	if err != nil {
-		return fmt.Errorf("%s per-layer metrics: %w", cfg.workload, err)
+	if cfg.trace {
+		layers, err := r.layers(ctx, len(res.LatencyS))
+		if err != nil {
+			return fmt.Errorf("%s per-layer metrics: %w", cfg.workload, err)
+		}
+		res.Layers = layers
 	}
 	if traced {
+		layers := res.Layers
 		spans := rec.Snapshot()
 		n := float64(len(res.LatencyS))
 		res.Spans = spanTable(spans, n)
 		layers["obs.spans_per_request"] = float64(len(spans)) / n
-		// The benchmark's own span around analysis.Run where it makes the
-		// call, the program's analysis span where the sweep engine does.
-		if run := spanSeconds(res.Spans, "bench.analysis.run"); run > 0 {
-			layers["analysis.run_s"] = run
-		} else if run := spanSeconds(res.Spans, "analysis.qpss"); run > 0 {
+		// The sweep engine makes the analysis.Run calls, inside the
+		// program's analysis span.
+		if run := spanSeconds(res.Spans, "analysis.qpss"); run > 0 {
 			layers["analysis.run_s"] = run
 		}
 		if err := writeTrace(cfg, spans); err != nil {
 			return err
 		}
 	}
-	res.Layers = layers
 	res.Env = map[string]any{
 		"nproc":      runtime.NumCPU(),
 		"gomaxprocs": runtime.GOMAXPROCS(0),

@@ -1,15 +1,12 @@
-// Command mpdebench is the repository benchmark. It drives three workloads
+// Command mpdebench is the repository benchmark. It drives two workloads
 // through the simulator's Go APIs, checks every output, and prints the
 // end-to-end metrics (--trace 0) or the per-layer split (--trace 1) as the
 // last line of standard output:
 //
-//	qpss-direct     one analysis.Run of the Fig. 3–5 balanced mixer per
-//	                request: QPSS at 48×36, linear=direct, GOMAXPROCS=1.
-//	                Sparse LU is most of each solve.
-//	sweep-matfree   one sweep.Run of the same mixer over 8 RF amplitudes
-//	                per request: 64×48, linear=matfree, warm start, 2 sweep
-//	                workers at GOMAXPROCS=2. Batched line LU, GMRES, exact
-//	                J·v and the sweep pool carry the work.
+//	sweep-matfree   one sweep.Run of the Fig. 3–5 balanced mixer over 8 RF
+//	                amplitudes per request: 64×48, linear=matfree, warm
+//	                start, 2 sweep workers at GOMAXPROCS=2. Batched line LU,
+//	                GMRES, exact J·v and the sweep pool carry the work.
 //	service-repeat  one POST /v1/simulate per request against an in-process
 //	                server (MaxConcurrent=1, SweepWorkers=1) on a loopback
 //	                listener. 80% of requests repeat an earlier deck, so
@@ -19,11 +16,12 @@
 // its own, so peak RSS and GOMAXPROCS belong to that workload alone. With
 // --trace 1 the benchmark runs the workload twice, untraced and traced,
 // each for half of --seconds; the ratio of the two medians is the tracing
-// overhead. A per-layer metric that a workload never exercises reads 0.
+// overhead. The metric names and units come from BENCHMARK.json; a
+// per-layer metric that a workload never exercises reads 0.
 //
 // Usage, from the repository root:
 //
-//	bash mpdebench/run.sh --workload qpss-direct --seed 1 --seconds 35 --trace 0
+//	bash mpdebench/run.sh --workload sweep-matfree --seed 1 --seconds 50 --trace 0
 package main
 
 import (
@@ -57,6 +55,7 @@ type config struct {
 	trace    bool
 	smoke    bool
 	traceDir string
+	specPath string
 	writeRef string
 }
 
@@ -71,6 +70,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&trace, "trace", 0, "1 prints the per-layer split instead of the end-to-end metrics")
 	fs.BoolVar(&cfg.smoke, "smoke", false, "run a fixed, minimal number of requests (the benchmark's own tests)")
 	fs.StringVar(&cfg.traceDir, "trace-dir", ".bench_build/traces", "where traced runs write their Chrome trace")
+	fs.StringVar(&cfg.specPath, "spec", "BENCHMARK.json", "the benchmark definition that names the printed metrics and their units")
 	fs.StringVar(&cfg.writeRef, "write-reference", "", "recompute the default-seed reference outputs into this file and exit")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
@@ -114,6 +114,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// benchSpec is the part of BENCHMARK.json the benchmark reads: the names
+// and units of the metrics it prints.
+type benchSpec struct {
+	EndToEnd []specMetric `json:"end_to_end"`
+	PerLayer []specMetric `json:"per_layer"`
+}
+
+type specMetric struct {
+	Name string `json:"name"`
+	Unit string `json:"unit"`
+}
+
+func loadSpec(path string) (*benchSpec, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var spec benchSpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &spec, nil
+}
+
 // result is the benchmark's last output line.
 type result struct {
 	Correct   bool              `json:"correct"`
@@ -128,6 +152,10 @@ type metric struct {
 }
 
 func runParent(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
+	spec, err := loadSpec(cfg.specPath)
+	if err != nil {
+		return err
+	}
 	var runs []*childResult
 	if cfg.trace {
 		// Untraced and traced halves in separate processes: the traced one
@@ -169,30 +197,55 @@ func runParent(ctx context.Context, cfg config, stdout, stderr io.Writer) error 
 	for k, v := range base.Env {
 		prov[k] = v
 	}
+
+	var values map[string]float64
+	named := spec.EndToEnd
+	if !cfg.trace {
+		values = map[string]float64{
+			"setup_s":              median(base.SetupS),
+			"request_s_p50":        median(base.LatencyS),
+			"request_s_tail":       tail,
+			"requests_per_s":       float64(len(base.LatencyS)) / base.WallS,
+			"peak_rss_mb":          base.PeakRSSMB,
+			"alloc_mb_per_request": base.AllocBytes / (1 << 20) / float64(base.Attempted),
+		}
+	} else {
+		traced := runs[1]
+		values = traced.Layers
+		values["obs.overhead_frac"] = median(traced.LatencyS)/median(base.LatencyS) - 1
+		named = spec.PerLayer
+		measured := make([]string, 0, len(values))
+		for name := range values {
+			measured = append(measured, name)
+		}
+		sort.Strings(measured)
+		prov["layers_measured"] = measured
+		printSpanTable(stdout, traced)
+	}
+	// Every value computed must be named, and every end-to-end metric named
+	// must be computed; a named per-layer metric this workload never
+	// exercises reads 0.
+	units := map[string]string{}
+	for _, m := range named {
+		units[m.Name] = m.Unit
+		v, ok := values[m.Name]
+		if !ok && !cfg.trace {
+			return fmt.Errorf("%s names end-to-end metric %s, which the benchmark does not compute", cfg.specPath, m.Name)
+		}
+		res.Metrics[m.Name] = metric{v, m.Unit}
+	}
+	for name := range values {
+		if _, ok := units[name]; !ok {
+			return fmt.Errorf("metric %s is not named in %s", name, cfg.specPath)
+		}
+	}
+
 	provJSON, err := json.Marshal(prov)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "provenance %s\n", provJSON)
 	fmt.Fprintf(stdout, "request_s_tail is p%.1f of n=%d requests\n", tailPct, len(base.LatencyS))
-
-	if !cfg.trace {
-		res.Metrics = map[string]metric{
-			"setup_s":              {median(base.SetupS), "s"},
-			"request_s_p50":        {median(base.LatencyS), "s"},
-			"request_s_tail":       {tail, "s"},
-			"requests_per_s":       {float64(len(base.LatencyS)) / base.BusyS, "1/s"},
-			"peak_rss_mb":          {base.PeakRSSMB, "MiB"},
-			"alloc_mb_per_request": {base.AllocBytes / (1 << 20) / float64(base.Attempted), "MiB"},
-		}
-	} else {
-		traced := runs[1]
-		for name, unit := range layerUnits {
-			res.Metrics[name] = metric{traced.Layers[name], unit}
-		}
-		res.Metrics["obs.overhead_frac"] = metric{median(traced.LatencyS)/median(base.LatencyS) - 1, "fraction"}
-		printSpanTable(stdout, traced)
-	}
 	printMetricTable(stdout, res.Metrics)
 	line, err := json.Marshal(res)
 	if err != nil {
@@ -239,7 +292,7 @@ func spawnChild(ctx context.Context, cfg config, seconds float64, traced bool, s
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &c); err != nil {
 		return nil, fmt.Errorf("%s child (%s) output: %w", cfg.workload, mode, err)
 	}
-	if len(c.LatencyS) == 0 || len(c.SetupS) == 0 || c.BusyS <= 0 {
+	if len(c.LatencyS) == 0 || len(c.SetupS) == 0 || c.WallS <= 0 {
 		return nil, errors.New(cfg.workload + " child completed no request")
 	}
 	return &c, nil

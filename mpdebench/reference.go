@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	_ "embed"
 	"encoding/json"
@@ -44,7 +45,6 @@ func outcomeOf(swing float64, lines []analysis.Line) outcome {
 
 type reference struct {
 	Seed          int64     `json:"seed"`
-	QPSSDirect    outcome   `json:"qpss_direct"`
 	SweepMatfree  []outcome `json:"sweep_matfree"`
 	ServiceRepeat []outcome `json:"service_repeat"`
 }
@@ -102,30 +102,24 @@ func (o outcome) near(ref outcome) error {
 	return nil
 }
 
-// writeReference recomputes the default seed's reference outputs.
+// writeReference recomputes the default seed's reference outputs, one
+// outcome to a line.
 func writeReference(ctx context.Context, path string) error {
-	ref := reference{Seed: defaultSeed}
-	q := newQPSSDirect(defaultSeed).(*qpssDirect)
-	out, err := q.do(ctx, q.next(0))
-	if err != nil {
-		return err
-	}
-	ref.QPSSDirect = out.(*qpssOut).outcome
-
-	s := newSweepMatfree(defaultSeed).(*sweepMatfree)
+	s := newSweepMatfree(defaultSeed, false).(*sweepMatfree)
 	spec := s.spec()
 	spec.Linear = "direct"
 	res, err := runSweep(ctx, spec)
 	if err != nil {
 		return err
 	}
-	ref.SweepMatfree = sweepOutcomes(res)
+	sweepRef := sweepOutcomes(res)
 
-	sv := newServiceRepeat(defaultSeed).(*serviceRepeat)
+	sv := newServiceRepeat(defaultSeed, false).(*serviceRepeat)
 	defer sv.close()
 	if err := sv.start(); err != nil {
 		return err
 	}
+	var serviceRef []outcome
 	for d := 0; d < referenceDecks; d++ {
 		resp, err := sv.post(ctx, sv.body(d).body)
 		if err != nil {
@@ -135,12 +129,25 @@ func writeReference(ctx context.Context, path string) error {
 		if err != nil {
 			return err
 		}
-		ref.ServiceRepeat = append(ref.ServiceRepeat, o)
+		serviceRef = append(serviceRef, o)
 	}
 
-	b, err := json.MarshalIndent(ref, "", "  ")
-	if err != nil {
-		return err
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\"seed\": %d,\n", defaultSeed)
+	for k, list := range [][]outcome{sweepRef, serviceRef} {
+		fmt.Fprintf(&b, "%q: [\n", []string{"sweep_matfree", "service_repeat"}[k])
+		for i, o := range list {
+			line, err := json.Marshal(o)
+			if err != nil {
+				return err
+			}
+			b.Write(line)
+			if i < len(list)-1 {
+				b.WriteByte(',')
+			}
+			b.WriteByte('\n')
+		}
+		b.WriteString([]string{"],\n", "]}\n"}[k])
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return os.WriteFile(path, b.Bytes(), 0o644)
 }

@@ -2,7 +2,7 @@
 # Builds the repository benchmark from source and runs it. Run from the
 # repository root:
 #
-#   bash mpdebench/run.sh --workload qpss-direct --seed 1 --seconds 35 --trace 0
+#   bash mpdebench/run.sh --workload sweep-matfree --seed 1 --seconds 50 --trace 0
 #
 # Every build product (Go build cache, temporary files, the binary, trace
 # files) stays under .bench_build/ in the current directory.

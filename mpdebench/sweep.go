@@ -9,8 +9,15 @@ import (
 
 	"repro/internal/ckts"
 	"repro/internal/obs"
+	"repro/internal/rf"
 	"repro/internal/sweep"
 )
+
+// mixerBits is the bit-modulated RF pattern of the Figs. 3–5 mixer, with
+// its PRBS7 start state drawn from the workload seed.
+func mixerBits(seed int64) []bool {
+	return rf.PRBS7(uint8(1+uint64(seed)%127), 8)
+}
 
 // sweepWorkers is the sweep pool size: one per core of the 2-core
 // machine the benchmark was sized on, pinned instead of NumCPU.
@@ -35,12 +42,13 @@ type sweepMatfree struct {
 	jobWalls                            []float64
 }
 
-func newSweepMatfree(seed int64) runner {
+func newSweepMatfree(seed int64, _ bool) runner {
 	rng := rand.New(rand.NewPCG(uint64(seed), 0x5eed))
 	amps := make([]float64, 8)
 	for i := range amps {
-		// 10…80 mV in 10 mV steps, each jittered by up to ±2 mV.
-		amps[i] = 0.01*float64(i+1) + 0.004*(rng.Float64()-0.5)
+		// 10…80 mV in 10 mV steps, each jittered by up to ±0.5 mV: enough
+		// to change every output, too little to change the Newton work.
+		amps[i] = 0.01*float64(i+1) + 0.001*(rng.Float64()-0.5)
 	}
 	return &sweepMatfree{bits: mixerBits(seed), amps: amps, ref: referenceFor(seed)}
 }
