@@ -57,12 +57,12 @@ func BenchmarkFig3to5BalancedMixerQPSS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: bits})
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 30, Shear: mix.Shear})
+		res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mix.Shear}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(sol.Stats.NewtonIters), "newton-iters")
+		b.ReportMetric(float64(res.Stats().NewtonIters), "newton-iters")
 	}
 }
 
@@ -70,11 +70,12 @@ func BenchmarkFig3to5BalancedMixerQPSS(b *testing.B) {
 // x(t) = x̂(t, t) over 5 LO periods from a solved grid.
 func BenchmarkFig6OneTimeReconstruction(b *testing.B) {
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: repro.PRBS7(0x4D, 8)})
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-		N1: 40, N2: 30, Shear: mix.Shear})
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+		Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mix.Shear}})
 	if err != nil {
 		b.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, vs := sol.ReconstructOneTime(mix.Tail, 2.223e-6, 2.223e-6+5*mix.Shear.T1(), 400)
@@ -102,8 +103,8 @@ func BenchmarkSpeedupMPDE_Disparity30000(b *testing.B) {
 func benchMPDE(b *testing.B, disparity float64) {
 	for i := 0; i < b.N; i++ {
 		mix := benchUnbalanced(disparity)
-		if _, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 30, Shear: mix.Shear}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mix.Shear}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,8 +117,8 @@ func benchShooting(b *testing.B, disparity float64) {
 	for i := 0; i < b.N; i++ {
 		mix := benchUnbalanced(disparity)
 		fd := 100e6 / disparity
-		if _, err := repro.ShootingPSS(mix.Ckt, repro.ShootingOptions{
-			Period: 1 / fd, Steps: int(10 * disparity), Tol: 1e-6}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "shooting", Circuit: mix.Ckt,
+			Params: repro.ShootingParams{Period: 1 / fd, Steps: int(10 * disparity)}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,8 +131,8 @@ func BenchmarkSpeedupTransient_Disparity200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := benchUnbalanced(200)
 		fd := 100e6 / 200
-		if _, err := repro.Transient(mix.Ckt, repro.TransientOptions{
-			Method: repro.BE, TStop: 3 / fd, Step: 1 / 100e6 / 20, FixedStep: true,
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "transient", Circuit: mix.Ckt,
+			Params: repro.TransientParams{Method: repro.BE, TStop: 3 / fd, Step: 1 / 100e6 / 20, FixedStep: true},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -143,12 +144,12 @@ func BenchmarkSpeedupTransient_Disparity200(b *testing.B) {
 func BenchmarkDownconversionGain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{})
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 32, Shear: mix.Shear})
+		res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 32, Shear: mix.Shear}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		bb := sol.DifferentialBaseband(mix.OutP, mix.OutM)
+		bb := res.Raw().(*repro.MPDESolution).DifferentialBaseband(mix.OutP, mix.OutM)
 		dt := mix.Shear.Td() / float64(len(bb))
 		g, err := repro.MeasureConversionGain(bb, dt, math.Abs(mix.Shear.Fd()), mix.Cfg.RFAmp)
 		if err != nil {
@@ -166,8 +167,8 @@ func BenchmarkAblationHBSwitchingMixer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{
 			F1: 100e6, Fd: 1e6, LOAmp: 0.6})
-		if _, err := repro.HarmonicBalance(mix.Ckt, repro.HBOptions{
-			F1: 100e6, F2: mix.Shear.F2, N1: 64, N2: 4}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "hb", Circuit: mix.Ckt,
+			Params: repro.HBParams{F1: 100e6, F2: mix.Shear.F2, N1: 64, N2: 4}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,8 +179,8 @@ func BenchmarkAblationMPDESwitchingMixer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{
 			F1: 100e6, Fd: 1e6, LOAmp: 0.6})
-		if _, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-			N1: 64, N2: 4, Shear: mix.Shear}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 64, N2: 4, Shear: mix.Shear}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,8 +196,8 @@ func BenchmarkAblationOrder2(b *testing.B) { benchOrder(b, repro.Order2) }
 func benchOrder(b *testing.B, o repro.DiffOrder) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: 100e6, Fd: 1e6})
-		if _, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 30, Shear: mix.Shear, DiffT1: o, DiffT2: o}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mix.Shear, DiffT1: o, DiffT2: o}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,8 +207,8 @@ func benchOrder(b *testing.B, o repro.DiffOrder) {
 func BenchmarkEnvelopeFollowing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: 100e6, Fd: 1e6})
-		if _, err := repro.MPDEEnvelope(mix.Ckt, repro.MPDEEnvelopeOptions{
-			N1: 40, Shear: mix.Shear}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "envelope", Circuit: mix.Ckt,
+			Params: repro.EnvelopeParams{N1: 40, Shear: mix.Shear}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -106,11 +107,12 @@ func figures3456(which int) {
 	bits := repro.PRBS7(0x4D, 8)
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: bits})
 	start := time.Now()
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-		N1: 40, N2: 30, Shear: mix.Shear})
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+		Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mix.Shear}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	fmt.Printf("balanced mixer QPSS (40x30 grid, %d unknowns): %v, %d Newton iterations\n",
 		sol.Stats.Unknowns, time.Since(start).Round(time.Millisecond), sol.Stats.NewtonIters)
 
@@ -176,16 +178,16 @@ func speedupSweep(maxDisparity float64) {
 		fd := f1 / d
 		mixA := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		t0 := time.Now()
-		if _, err := repro.MPDEQuasiPeriodic(mixA.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 30, Shear: mixA.Shear}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mixA.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mixA.Shear}}); err != nil {
 			log.Fatalf("disparity %g MPDE: %v", d, err)
 		}
 		mpde := time.Since(t0)
 
 		mixB := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		t0 = time.Now()
-		if _, err := repro.ShootingPSS(mixB.Ckt, repro.ShootingOptions{
-			Period: 1 / fd, Steps: int(10 * d), Tol: 1e-6}); err != nil {
+		if _, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "shooting", Circuit: mixB.Ckt,
+			Params: repro.ShootingParams{Period: 1 / fd, Steps: int(10 * d)}}); err != nil {
 			log.Fatalf("disparity %g shooting: %v", d, err)
 		}
 		shoot := time.Since(t0)
@@ -213,14 +215,12 @@ func gainSweep() {
 	var warm []float64
 	for _, rfAmp := range []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4} {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{RFAmp: rfAmp})
-		opt := repro.MPDEOptions{N1: 40, N2: 32, Shear: mix.Shear}
-		if warm != nil {
-			opt.X0 = warm
-		}
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, opt)
+		res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 32, Shear: mix.Shear}, Seed: warm})
 		if err != nil {
 			log.Fatalf("rfAmp %g: %v", rfAmp, err)
 		}
+		sol := res.Raw().(*repro.MPDESolution)
 		warm = sol.X
 		bb := sol.DifferentialBaseband(mix.OutP, mix.OutM)
 		dt := mix.Shear.Td() / float64(len(bb))

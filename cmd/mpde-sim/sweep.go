@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/netlist"
+	"repro/internal/solver"
 )
 
 // sweepMain implements the `mpde-sim sweep` subcommand: a concurrent batch
@@ -48,7 +49,7 @@ func sweepMain(args []string) {
 		timing      = fs.Bool("timing", true, "include per-job wall-clock times in the output")
 		outPath     = fs.String("out", "", "output file (default stdout)")
 		top         = fs.Int("top", 5, "dominant spectrum mixes reported per qpss job")
-		linearSel   = fs.String("linear", "", "Newton linear solver for every job: direct | gmres | matfree")
+		linearSel   = fs.String("linear", "", "Newton linear solver for every job: direct | matfree")
 		relTol      = fs.String("reltol", "", "adaptive accuracy target for every job (empty = fixed grids)")
 		absTol      = fs.String("abstol", "", "absolute error/amplitude floor of the adaptive control (SPICE value)")
 	)
@@ -64,6 +65,9 @@ func sweepMain(args []string) {
 		WarmStart:   *warm,
 		SpectrumTop: *top,
 		Linear:      strings.ToLower(strings.TrimSpace(*linearSel)),
+	}
+	if _, err := solver.ParseLinearSolver(spec.Linear); err != nil {
+		log.Fatalf("-linear: %v", err)
 	}
 	if *order2 {
 		spec.DiffT1, spec.DiffT2 = repro.Order2, repro.Order2

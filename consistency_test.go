@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -59,31 +60,35 @@ func TestConsistencyLinearRCTwoTone(t *testing.T) {
 	}
 
 	// MPDE QPSS on the sheared grid (second order for spectral accuracy).
+	ctx := context.Background()
 	ckt1 := build()
-	qpss, err := repro.MPDEQuasiPeriodic(ckt1, repro.MPDEOptions{
-		N1: 32, N2: 32, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2})
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: ckt1,
+		Params: repro.QPSSParams{N1: 32, N2: 32, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out1, _ := ckt1.NodeIndex("out")
-	gq := qpss.Spectrum(out1)
+	gq := res.Raw().(*repro.MPDESolution).Spectrum(out1)
 
 	// Two-tone HB on the unsheared torus.
 	ckt2 := build()
-	hbs, err := repro.HarmonicBalance(ckt2, repro.HBOptions{F1: f1, F2: f2, N1: 16, N2: 8})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "hb", Circuit: ckt2,
+		Params: repro.HBParams{F1: f1, F2: f2, N1: 16, N2: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hbs := res.Raw().(*repro.HBSolution)
 	out2, _ := ckt2.NodeIndex("out")
 
 	// Shooting across one full difference period (the two-tone waveform is
 	// Td-periodic because f1 and f2 are commensurate: 10·Td = 10/fd).
 	ckt3 := build()
-	pss, err := repro.ShootingPSS(ckt3, repro.ShootingOptions{
-		Period: 1 / fd, Steps: 1024})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "shooting", Circuit: ckt3,
+		Params: repro.ShootingParams{Period: 1 / fd, Steps: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pss := res.Raw().(*repro.ShootingResult)
 	out3, _ := ckt3.NodeIndex("out")
 
 	// Long transient: settle ≥ 5 RC time constants, measure the last Td.
@@ -91,11 +96,12 @@ func TestConsistencyLinearRCTwoTone(t *testing.T) {
 	steps := 200 // per fast period
 	step := 1 / f1 / float64(steps)
 	tstop := 3 / fd
-	tr, err := repro.Transient(ckt4, repro.TransientOptions{
-		Method: repro.TRAP, TStop: tstop, Step: step, FixedStep: true})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "transient", Circuit: ckt4,
+		Params: repro.TransientParams{Method: repro.TRAP, TStop: tstop, Step: step, FixedStep: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Raw().(*repro.TransientResult)
 	out4, _ := ckt4.NodeIndex("out")
 
 	// Per-tone amplitudes. On the sheared QPSS grid the f1 tone is mix
@@ -163,13 +169,14 @@ func TestConsistencyBalancedMixerGain(t *testing.T) {
 	td := 1 / fd
 
 	// Route 1: MPDE QPSS, gain from the differential baseband.
+	ctx := context.Background()
 	mixQ := repro.NewBalancedMixer(cfg)
-	qpss, err := repro.MPDEQuasiPeriodic(mixQ.Ckt, repro.MPDEOptions{
-		N1: 32, N2: 24, Shear: mixQ.Shear})
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: mixQ.Ckt,
+		Params: repro.QPSSParams{N1: 32, N2: 24, Shear: mixQ.Shear}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := qpss.DifferentialBaseband(mixQ.OutP, mixQ.OutM)
+	bb := res.Raw().(*repro.MPDESolution).DifferentialBaseband(mixQ.OutP, mixQ.OutM)
 	gQ, err := repro.MeasureConversionGain(bb, td/float64(len(bb)), fd, rfAmp)
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +186,12 @@ func TestConsistencyBalancedMixerGain(t *testing.T) {
 	// doubled LO with 10 points per 2·f1 cycle.
 	mixS := repro.NewBalancedMixer(cfg)
 	steps := int(2 * f1 / fd * 10)
-	pss, err := repro.ShootingPSS(mixS.Ckt, repro.ShootingOptions{Period: td, Steps: steps})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "shooting", Circuit: mixS.Ckt,
+		Params: repro.ShootingParams{Period: td, Steps: steps}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pss := res.Raw().(*repro.ShootingResult)
 	sv := make([]float64, steps)
 	for k := 0; k < steps; k++ {
 		sv[k] = pss.Orbit.X[k][mixS.OutP] - pss.Orbit.X[k][mixS.OutM]
@@ -193,11 +202,12 @@ func TestConsistencyBalancedMixerGain(t *testing.T) {
 	mixT := repro.NewBalancedMixer(cfg)
 	step := td / float64(steps)
 	tstop := 3 * td
-	tr, err := repro.Transient(mixT.Ckt, repro.TransientOptions{
-		Method: repro.GEAR2, TStop: tstop, Step: step, FixedStep: true})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "transient", Circuit: mixT.Ckt,
+		Params: repro.TransientParams{Method: repro.GEAR2, TStop: tstop, Step: step, FixedStep: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Raw().(*repro.TransientResult)
 	tv := make([]float64, steps)
 	dst := make([]float64, len(tr.X[0]))
 	for k := 0; k < steps; k++ {
@@ -241,33 +251,36 @@ func TestConsistencyUnbalancedMixerFourRoutes(t *testing.T) {
 	cfg := repro.UnbalancedMixerConfig{F1: f1, Fd: fd}
 	td := 1 / fd
 
+	ctx := context.Background()
 	mixQ := repro.NewUnbalancedMixer(cfg)
 	rfAmp := mixQ.Cfg.RFAmp
-	qpss, err := repro.MPDEQuasiPeriodic(mixQ.Ckt, repro.MPDEOptions{
-		N1: 40, N2: 24, Shear: mixQ.Shear})
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: mixQ.Ckt,
+		Params: repro.QPSSParams{N1: 40, N2: 24, Shear: mixQ.Shear}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := qpss.BasebandMean(mixQ.Drain)
+	bb := res.Raw().(*repro.MPDESolution).BasebandMean(mixQ.Drain)
 	gQ, err := repro.MeasureConversionGain(bb, td/float64(len(bb)), fd, rfAmp)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	mixH := repro.NewUnbalancedMixer(cfg)
-	hbs, err := repro.HarmonicBalance(mixH.Ckt, repro.HBOptions{
-		F1: f1, F2: mixH.Shear.F2, N1: 64, N2: 4})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "hb", Circuit: mixH.Ckt,
+		Params: repro.HBParams{F1: f1, F2: mixH.Shear.F2, N1: 64, N2: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gainHB := cmplx.Abs(hbs.HarmonicPhasor(mixH.Drain, 1, -1)) / rfAmp
+	gainHB := cmplx.Abs(res.Raw().(*repro.HBSolution).HarmonicPhasor(mixH.Drain, 1, -1)) / rfAmp
 
 	mixS := repro.NewUnbalancedMixer(cfg)
 	steps := int(f1 / fd * 10)
-	pss, err := repro.ShootingPSS(mixS.Ckt, repro.ShootingOptions{Period: td, Steps: steps})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "shooting", Circuit: mixS.Ckt,
+		Params: repro.ShootingParams{Period: td, Steps: steps}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pss := res.Raw().(*repro.ShootingResult)
 	sv := make([]float64, steps)
 	for k := 0; k < steps; k++ {
 		sv[k] = pss.Orbit.X[k][mixS.Drain]
@@ -277,11 +290,12 @@ func TestConsistencyUnbalancedMixerFourRoutes(t *testing.T) {
 	mixT := repro.NewUnbalancedMixer(cfg)
 	step := td / float64(steps)
 	tstop := 3 * td
-	tr, err := repro.Transient(mixT.Ckt, repro.TransientOptions{
-		Method: repro.GEAR2, TStop: tstop, Step: step, FixedStep: true})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "transient", Circuit: mixT.Ckt,
+		Params: repro.TransientParams{Method: repro.GEAR2, TStop: tstop, Step: step, FixedStep: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Raw().(*repro.TransientResult)
 	tv := make([]float64, steps)
 	dst := make([]float64, len(tr.X[0]))
 	for k := 0; k < steps; k++ {
@@ -321,20 +335,22 @@ func TestConsistencyUnbalancedMixerSpectrum(t *testing.T) {
 	f1, fd := 10e6, 100e3
 	cfg := repro.UnbalancedMixerConfig{F1: f1, Fd: fd}
 
+	ctx := context.Background()
 	mixQ := repro.NewUnbalancedMixer(cfg)
-	qpss, err := repro.MPDEQuasiPeriodic(mixQ.Ckt, repro.MPDEOptions{
-		N1: 40, N2: 24, Shear: mixQ.Shear})
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: mixQ.Ckt,
+		Params: repro.QPSSParams{N1: 40, N2: 24, Shear: mixQ.Shear}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := qpss.Spectrum(mixQ.Drain)
+	gs := res.Raw().(*repro.MPDESolution).Spectrum(mixQ.Drain)
 
 	mixH := repro.NewUnbalancedMixer(cfg)
-	hbs, err := repro.HarmonicBalance(mixH.Ckt, repro.HBOptions{
-		F1: f1, F2: mixH.Shear.F2, N1: 64, N2: 4})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "hb", Circuit: mixH.Ckt,
+		Params: repro.HBParams{F1: f1, F2: mixH.Shear.F2, N1: 64, N2: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hbs := res.Raw().(*repro.HBSolution)
 
 	checked := 0
 	for _, m := range gs.DominantMixes(6) {

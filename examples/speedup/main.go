@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,6 +22,7 @@ import (
 
 func main() {
 	f1 := 100e6
+	ctx := context.Background()
 	fmt.Println("disparity | MPDE QPSS | shooting(Td) | speedup")
 	fmt.Println("----------+-----------+--------------+--------")
 	for _, disparity := range []float64{20, 50, 100, 200, 500, 1000, 2000} {
@@ -29,8 +31,8 @@ func main() {
 		// MPDE: grid cost independent of disparity.
 		mixA := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		t0 := time.Now()
-		_, err := repro.MPDEQuasiPeriodic(mixA.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 30, Shear: mixA.Shear})
+		_, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: mixA.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mixA.Shear}})
 		if err != nil {
 			log.Fatalf("disparity %g: MPDE: %v", disparity, err)
 		}
@@ -40,8 +42,8 @@ func main() {
 		mixB := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		steps := int(10 * disparity)
 		t0 = time.Now()
-		_, err = repro.ShootingPSS(mixB.Ckt, repro.ShootingOptions{
-			Period: 1 / fd, Steps: steps, Tol: 1e-6})
+		_, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "shooting", Circuit: mixB.Ckt,
+			Params: repro.ShootingParams{Period: 1 / fd, Steps: steps}})
 		if err != nil {
 			log.Fatalf("disparity %g: shooting: %v", disparity, err)
 		}

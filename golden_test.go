@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -61,11 +62,12 @@ func solveGoldenCases(t *testing.T) map[string]goldenCase {
 
 	run := func(name, desc string, bits []bool, withFig6 bool) {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: bits})
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 30, Shear: mix.Shear})
+		res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mix.Shear}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		sol := res.Raw().(*repro.MPDESolution)
 		gc := goldenCase{Description: desc, N1: sol.N1, N2: sol.N2, Nodes: map[string][]goldenLine{}}
 		probe := func(label string, spectrum repro.MPDEGridSpectrum) {
 			var lines []goldenLine

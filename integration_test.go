@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -23,17 +24,20 @@ func TestFacadeDCTransientShootingAgree(t *testing.T) {
 		ckt.C("C1", "out", "0", 1e-8)
 		return ckt
 	}
+	ctx := context.Background()
 	ckt := build()
-	pss, err := repro.ShootingPSS(ckt, repro.ShootingOptions{Period: 1e-4, Steps: 256})
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "shooting", Circuit: ckt,
+		Params: repro.ShootingParams{Period: 1e-4, Steps: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckt2 := build()
-	tr, err := repro.Transient(ckt2, repro.TransientOptions{
-		Method: repro.TRAP, TStop: 2e-3, Step: 1e-7, FixedStep: true})
+	pss := res.Raw().(*repro.ShootingResult)
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "transient", Circuit: build(),
+		Params: repro.TransientParams{Method: repro.TRAP, TStop: 2e-3, Step: 1e-7, FixedStep: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Raw().(*repro.TransientResult)
 	out, _ := ckt.NodeIndex("out")
 	for k := 0; k <= 8; k++ {
 		phase := float64(k) / 8 * 1e-4
@@ -63,22 +67,27 @@ func TestFacadeMPDEvsHBvsShootingTriangle(t *testing.T) {
 	}
 	sh := repro.NewShear(f1, 0.9*f1, 1)
 
+	ctx := context.Background()
 	ckt1 := build()
-	mpde, err := repro.MPDEQuasiPeriodic(ckt1, repro.MPDEOptions{
-		N1: 64, N2: 4, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2})
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: ckt1,
+		Params: repro.QPSSParams{N1: 64, N2: 4, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckt2 := build()
-	hbs, err := repro.HarmonicBalance(ckt2, repro.HBOptions{F1: f1, N1: 64})
+	mpde := res.Raw().(*repro.MPDESolution)
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "hb", Circuit: build(),
+		Params: repro.HBParams{F1: f1, N1: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hbs := res.Raw().(*repro.HBSolution)
 	ckt3 := build()
-	pss, err := repro.ShootingPSS(ckt3, repro.ShootingOptions{Period: 1 / f1, Steps: 1024})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "shooting", Circuit: ckt3,
+		Params: repro.ShootingParams{Period: 1 / f1, Steps: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pss := res.Raw().(*repro.ShootingResult)
 	a1, _ := ckt1.NodeIndex("a")
 	a3, _ := ckt3.NodeIndex("a")
 	for p := 0; p < 40; p++ {
@@ -113,10 +122,12 @@ CD d 0 20p
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := repro.MPDEQuasiPeriodic(d.Ckt, repro.MPDEOptions{N1: 32, N2: 16, Shear: sh})
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: d.Ckt,
+		Params: repro.QPSSParams{N1: 32, N2: 16, Shear: sh}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	dn, _ := d.Ckt.NodeIndex("d")
 	bb := sol.BasebandMean(dn)
 	lo, hi := bb[0], bb[0]
@@ -137,11 +148,13 @@ func TestFacadeACMatchesMPDESmallSignalGain(t *testing.T) {
 	ckt.V("V1", "in", "0", repro.Sine{Amp: 1, F1: sh.F1, F2: sh.F2, K2: 1})
 	ckt.R("R1", "in", "out", 1000)
 	ckt.C("C1", "out", "0", 1.59155e-10)
-	sol, err := repro.MPDEQuasiPeriodic(ckt, repro.MPDEOptions{
-		N1: 32, N2: 64, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2})
+	ctx := context.Background()
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: ckt,
+		Params: repro.QPSSParams{N1: 32, N2: 64, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	out, _ := ckt.NodeIndex("out")
 	g := sol.Spectrum(out)
 	// The RF tone lives at grid mix (K, −1) = (1, −1).
@@ -151,12 +164,13 @@ func TestFacadeACMatchesMPDESmallSignalGain(t *testing.T) {
 	ckt2.V("V1", "in", "0", repro.DC(0))
 	ckt2.R("R1", "in", "out", 1000)
 	ckt2.C("C1", "out", "0", 1.59155e-10)
-	res, err := repro.ACAnalyze(ckt2, repro.ACOptions{Source: "V1", Freqs: []float64{0.9e6}})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "ac", Circuit: ckt2,
+		Params: repro.ACParams{Source: "V1", Freqs: []float64{0.9e6}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out2, _ := ckt2.NodeIndex("out")
-	acGain := res.Gain(out2)[0]
+	acGain := res.Raw().(*repro.ACResult).Gain(out2)[0]
 	if math.Abs(mpdeGain-acGain) > 0.01 {
 		t.Fatalf("MPDE gain %v vs AC gain %v", mpdeGain, acGain)
 	}
@@ -166,12 +180,13 @@ func TestFacadeEnvelopeTracksBitTransition(t *testing.T) {
 	// Envelope following on the balanced mixer resolves the baseband's
 	// settling toward the quasi-periodic orbit.
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{})
-	env, err := repro.MPDEEnvelope(mix.Ckt, repro.MPDEEnvelopeOptions{
-		N1: 24, Shear: mix.Shear, T2Stop: mix.Shear.Td() / 2,
-		StepT2: mix.Shear.Td() / 40})
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "envelope", Circuit: mix.Ckt,
+		Params: repro.EnvelopeParams{N1: 24, Shear: mix.Shear, T2Stop: mix.Shear.Td() / 2,
+			StepT2: mix.Shear.Td() / 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	env := res.Raw().(*repro.MPDEEnvelopeResult)
 	if len(env.T2) < 10 {
 		t.Fatalf("too few envelope points: %d", len(env.T2))
 	}
@@ -185,12 +200,12 @@ func TestFacadeEnvelopeTracksBitTransition(t *testing.T) {
 
 func TestFacadeSpectrumIdentifiesMixerProducts(t *testing.T) {
 	mix := repro.NewIdealMixer(repro.IdealMixerConfig{F1: 1e9, F2: 1e9 - 1e4})
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-		N1: 16, N2: 16, Shear: mix.Shear})
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+		Params: repro.QPSSParams{N1: 16, N2: 16, Shear: mix.Shear}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := sol.Spectrum(mix.Out)
+	g := res.Raw().(*repro.MPDESolution).Spectrum(mix.Out)
 	top := g.DominantMixes(2)
 	// Products at (0,1) [difference] and (2,−1) [sum] dominate.
 	found := map[[2]int]bool{}
@@ -208,10 +223,17 @@ func TestFacadeErrorMessagesActionable(t *testing.T) {
 	ckt := repro.NewCircuit("bad")
 	ckt.V("VPULSE", "a", "0", repro.Pulse{V2: 1, Width: 1, Period: 2})
 	ckt.R("R1", "a", "0", 50)
-	_, err := repro.MPDEQuasiPeriodic(ckt, repro.MPDEOptions{
-		Shear: repro.NewShear(1e6, 0.9e6, 1)})
+	_, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: ckt,
+		Params: repro.QPSSParams{Shear: repro.NewShear(1e6, 0.9e6, 1)}})
 	if err == nil || !strings.Contains(err.Error(), "VPULSE") {
 		t.Fatalf("error should name the source: %v", err)
+	}
+	// A retired linear-solver spelling names the ones that remain.
+	_, err = repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss",
+		Circuit: repro.NewIdealMixer(repro.IdealMixerConfig{}).Ckt,
+		Params:  repro.QPSSParams{Shear: repro.NewShear(1e6, 0.9e6, 1), Linear: "gmres"}})
+	if err == nil || !strings.Contains(err.Error(), "direct") || !strings.Contains(err.Error(), "matfree") {
+		t.Fatalf("linear=gmres error should name direct and matfree: %v", err)
 	}
 }
 
@@ -251,11 +273,12 @@ func TestFacadeTwoToneIntermodOnBalancedMixer(t *testing.T) {
 	ckt.M("M4", "tail", "lom", "0", repro.MOSFET{Vt0: 0.5, KP: 4e-3})
 	ckt.C("CT", "tail", "0", 2e-13)
 
-	sol, err := repro.MPDEQuasiPeriodic(ckt, repro.MPDEOptions{
-		N1: 40, N2: 32, Shear: sh})
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{Method: "qpss", Circuit: ckt,
+		Params: repro.QPSSParams{N1: 40, N2: 32, Shear: sh}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	outP, _ := ckt.NodeIndex("outp")
 	outM, _ := ckt.NodeIndex("outm")
 	bb := sol.DifferentialBaseband(outP, outM)
@@ -298,12 +321,13 @@ func TestFacadePACMatchesMPDEConversionGain(t *testing.T) {
 	//     reading the conversion gain to the −1 sideband of the doubled LO
 	//     (k = −2 of f1). At small RF drive they must agree.
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{RFAmp: 0.01})
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-		N1: 40, N2: 32, Shear: mix.Shear})
+	ctx := context.Background()
+	res, err := repro.Analyze(ctx, repro.AnalysisRequest{Method: "qpss", Circuit: mix.Ckt,
+		Params: repro.QPSSParams{N1: 40, N2: 32, Shear: mix.Shear}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := sol.DifferentialBaseband(mix.OutP, mix.OutM)
+	bb := res.Raw().(*repro.MPDESolution).DifferentialBaseband(mix.OutP, mix.OutM)
 	dt := mix.Shear.Td() / float64(len(bb))
 	g, err := repro.MeasureConversionGain(bb, dt, math.Abs(mix.Shear.Fd()), 0.01)
 	if err != nil {
@@ -315,15 +339,16 @@ func TestFacadePACMatchesMPDEConversionGain(t *testing.T) {
 	// small-signal port: stimulus on VRFP only gives half the differential
 	// drive, so the differential gain doubles back.
 	mix2 := repro.NewBalancedMixer(repro.BalancedMixerConfig{RFAmp: 1e-15})
-	res, err := repro.PACAnalyze(mix2.Ckt, repro.PACOptions{
-		Period: 1 / 450e6, Steps: 128, Source: "VRFP",
-		Freqs: []float64{900e6 - 15e3}})
+	res, err = repro.Analyze(ctx, repro.AnalysisRequest{Method: "pac", Circuit: mix2.Ckt,
+		Params: repro.PACParams{Period: 1 / 450e6, Steps: 128, Source: "VRFP",
+			Freqs: []float64{900e6 - 15e3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pac := res.Raw().(*repro.PACResult)
 	// Output sideband at fs − 2·f0 = −fd: the differential phasor response.
-	xp := res.SidebandPhasor(0, mix2.OutP, -2)
-	xm := res.SidebandPhasor(0, mix2.OutM, -2)
+	xp := pac.SidebandPhasor(0, mix2.OutP, -2)
+	xm := pac.SidebandPhasor(0, mix2.OutM, -2)
 	pacDiff := cmplx.Abs(xp - xm)
 	// MPDE drove differentially with ±RFAmp (differential amplitude
 	// 2·RFAmp) and the measured ratio is referenced to RFAmp, so the

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/circuit"
 	"repro/internal/ckts"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/netlist"
 )
 
@@ -41,6 +43,19 @@ func TestRunPreCanceledContextFastPath(t *testing.T) {
 		if elapsed > 100*time.Millisecond {
 			t.Fatalf("%s: canceled request took %v — the pre-start fast path is gone", name, elapsed)
 		}
+	}
+}
+
+// TestTransientFinalizesCircuit: a transient request on a freshly built,
+// never-finalized circuit must run, not panic in Circuit.Size.
+func TestTransientFinalizesCircuit(t *testing.T) {
+	ckt := circuit.New("rc")
+	ckt.V("V1", "in", "0", device.DC(1))
+	ckt.R("R1", "in", "out", 1e3)
+	ckt.C("C1", "out", "0", 1e-9)
+	if _, err := analysis.Run(context.Background(), analysis.Request{Method: "transient", Circuit: ckt,
+		Params: analysis.TransientParams{TStop: 1e-6}}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -24,9 +24,9 @@ type QPSSParams struct {
 	// AssemblyWorkers bounds intra-solve assembly parallelism (0 = the
 	// assembler default).
 	AssemblyWorkers int
-	// Linear selects the Newton linear solver: "direct" (default), "gmres"
-	// (ILU0-preconditioned GMRES on the assembled Jacobian), or "matfree"
-	// (Jacobian-free GMRES with the batched block-line preconditioner).
+	// Linear selects the Newton linear solver: "direct" (default) or
+	// "matfree" (Jacobian-free GMRES with the batched block-line
+	// preconditioner).
 	Linear string
 	// Accuracy, when enabled, replaces the fixed grid with automatic sizing:
 	// the solve starts coarse (N1/N2 when set, the adaptive defaults

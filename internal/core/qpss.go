@@ -47,7 +47,7 @@ type Options struct {
 	DiffT1, DiffT2 DiffOrder
 	// Newton configures the grid-level Newton solve. Set fields survive:
 	// defaults are filled non-destructively (solver.Options.Fill), so a
-	// caller who only sets Interrupt or Linear keeps them while MaxIter
+	// caller who only sets Linear or Progress keeps them while MaxIter
 	// defaults to 60.
 	Newton solver.Options
 	// Continuation enables the source-stepping fallback when plain Newton

@@ -136,11 +136,11 @@ func testWire() *RequestWire {
 		OutP: 3, OutM: -1, RFAmp: 0.125,
 		WarmStart: true, SpectrumTop: 5,
 		TransientPeriods: 12.5, StepsPerFast: 96,
-		RelTol: 1e-4, AbsTol: 1e-9, Linear: "gmres",
+		RelTol: 1e-4, AbsTol: 1e-9, Linear: "matfree",
 		Newton: NewtonFromOptions(solver.Options{
 			MaxIter: 42, AbsTol: 1e-10, RelTol: 1e-5, ResidTol: 1e-7,
 			MaxStep: 0.5, Damping: true, MaxHalve: 7,
-			Linear: solver.IterativeGMRES, PivotTol: 1e-3,
+			Linear: solver.MatrixFree, PivotTol: 1e-3,
 			GMRESTol: 1e-6, GMRESIter: 33, JacobianRefresh: 3,
 		}),
 	}
@@ -177,8 +177,14 @@ func TestRequestWireRoundTripAndKey(t *testing.T) {
 	if key != key2 {
 		t.Fatalf("key changed across the wire: %s vs %s", key, key2)
 	}
-	if ropts := back.Newton.Options(); ropts.MaxIter != 42 || ropts.Linear != solver.IterativeGMRES || ropts.JacobianRefresh != 3 {
+	if ropts := back.Newton.Options(); ropts.MaxIter != 42 || ropts.Linear != solver.MatrixFree || ropts.JacobianRefresh != 3 {
 		t.Fatalf("Newton knobs lost: %+v", ropts)
+	}
+	// The kind travels as its integer value; MatrixFree must stay 2 so
+	// journalled shards and cache keys written before the retired value 1
+	// was dropped still decode to the same solver.
+	if !bytes.Contains(enc, []byte(`"linear":2`)) {
+		t.Fatalf("MatrixFree not encoded as 2: %s", enc)
 	}
 }
 

@@ -239,85 +239,6 @@ func (s *GMRESSolver) Solve(a Operator, b, x []float64, opt GMRESOptions) (res G
 	return GMRESResult{Iterations: totalIters, Residual: rel, Converged: false}, ErrNoConvergence
 }
 
-// ILU0 is a zero-fill incomplete LU preconditioner built on the sparsity
-// pattern of the input matrix.
-type ILU0 struct {
-	m    *CSR
-	diag []int
-}
-
-// NewILU0 computes the ILU(0) factorisation in place on a copy of a.
-// Rows must have their diagonal entry present.
-func NewILU0(a *CSR) (*ILU0, error) {
-	m := a.Clone()
-	diag := m.DiagIndex()
-	for i, d := range diag {
-		if d < 0 {
-			return nil, errors.New("la: ILU0 requires a structurally nonzero diagonal")
-		}
-		_ = i
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		for kk := m.RowPtr[i]; kk < m.RowPtr[i+1]; kk++ {
-			k := m.ColIdx[kk]
-			if k >= i {
-				break
-			}
-			dk := m.Val[diag[k]]
-			if dk == 0 {
-				return nil, ErrSingular
-			}
-			lik := m.Val[kk] / dk
-			m.Val[kk] = lik
-			// Subtract lik · U(k, :) restricted to the pattern of row i.
-			pk := diag[k] + 1
-			pi := kk + 1
-			for pk < m.RowPtr[k+1] && pi < m.RowPtr[i+1] {
-				ck, ci := m.ColIdx[pk], m.ColIdx[pi]
-				switch {
-				case ck == ci:
-					m.Val[pi] -= lik * m.Val[pk]
-					pk++
-					pi++
-				case ck < ci:
-					pk++ // fill outside pattern: dropped
-				default:
-					pi++
-				}
-			}
-		}
-		if m.Val[diag[i]] == 0 {
-			return nil, ErrSingular
-		}
-	}
-	return &ILU0{m: m, diag: diag}, nil
-}
-
-// Precondition applies z = (LU)⁻¹ r.
-func (p *ILU0) Precondition(r, z []float64) {
-	n := p.m.Rows
-	if len(r) != n || len(z) != n {
-		panic(ErrShape)
-	}
-	// Forward solve with unit L.
-	for i := 0; i < n; i++ {
-		s := r[i]
-		for k := p.m.RowPtr[i]; k < p.diag[i]; k++ {
-			s -= p.m.Val[k] * z[p.m.ColIdx[k]]
-		}
-		z[i] = s
-	}
-	// Backward solve with U.
-	for i := n - 1; i >= 0; i-- {
-		s := z[i]
-		for k := p.diag[i] + 1; k < p.m.RowPtr[i+1]; k++ {
-			s -= p.m.Val[k] * z[p.m.ColIdx[k]]
-		}
-		z[i] = s / p.m.Val[p.diag[i]]
-	}
-}
-
 // SparseLUPreconditioner wraps an exact sparse LU as a (direct) preconditioner,
 // useful to compare iterative vs direct solves through the same interface.
 type SparseLUPreconditioner struct{ F *SparseLU }

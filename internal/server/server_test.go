@@ -553,6 +553,9 @@ func TestRequestValidation(t *testing.T) {
 		{"no tones", map[string]any{"deck": "R1 a 0 1k\n"}, ".tones"},
 		{"bad method", map[string]any{"deck": fastDeck, "analyses": []map[string]any{{"method": "spice"}}}, "unknown method"},
 		{"bad probe", map[string]any{"deck": fastDeck, "probe": "nope"}, "probe"},
+		// The retired ILU(0)-GMRES mode is refused, not mapped to another.
+		{"gmres linear field", map[string]any{"deck": fastDeck, "linear": "gmres"}, "want direct or matfree"},
+		{"gmres linear directive", map[string]any{"deck": strings.Replace(fastDeck, ".qpss n1=12 n2=8", ".qpss n1=12 n2=8 linear=gmres", 1)}, "want direct or matfree"},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/v1/jobs", c.body)

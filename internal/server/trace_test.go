@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/solver"
 )
 
@@ -170,58 +172,138 @@ func TestWriteMetricsJSONIntegerExact(t *testing.T) {
 	}
 }
 
-// TestSolverStatsMetricsParity walks solver.Stats by reflection and asserts
-// every numeric counter field either has a /metrics point or is explicitly
-// allowlisted — so a new counter cannot silently stay unexported.
-func TestSolverStatsMetricsParity(t *testing.T) {
-	// Counter fields → the exposition name that must exist.
-	exported := map[string]string{
-		"Iterations":       "mpde_solver_newton_iters_total",
-		"Halvings":         "mpde_solver_damping_halvings_total",
-		"LinearIters":      "mpde_solver_linear_iters_total",
-		"Factorizations":   "mpde_solver_factorizations_total",
-		"Refactorizations": "mpde_solver_refactorizations_total",
-		"OperatorApplies":  "mpde_solver_operator_applies_total",
-		"PrecondBuilds":    "mpde_solver_precond_builds_total",
-		"GMRESFallbacks":   "mpde_solver_gmres_fallbacks_total",
-		"BatchReuse":       "mpde_solver_batch_reuse_total",
-		"AssemblyTime":     "mpde_solver_assembly_seconds_total",
-		"FactorTime":       "mpde_solver_factor_seconds_total",
-	}
-	// Point-in-time values, not counters: nothing to sum across solves.
-	// JacobianEvals is deliberately unexported — it is not threaded through
-	// sweep.JobResult; promote it there before mapping it here.
-	allow := map[string]bool{
-		"Residual":      true,
-		"StepNorm":      true,
-		"FillFactor":    true,
-		"JacobianEvals": true,
-	}
+// statsSeries maps each counter field of solver.Stats and analysis.Stats to
+// the /metrics series that exports it. Field names differ where the two
+// structs spell the same counter differently (Iterations, NewtonIters).
+var statsSeries = map[string]string{
+	"Iterations":       "mpde_solver_newton_iters_total",
+	"NewtonIters":      "mpde_solver_newton_iters_total",
+	"Halvings":         "mpde_solver_damping_halvings_total",
+	"LinearIters":      "mpde_solver_linear_iters_total",
+	"Factorizations":   "mpde_solver_factorizations_total",
+	"Refactorizations": "mpde_solver_refactorizations_total",
+	"PatternReuse":     "mpde_solver_pattern_reuse_total",
+	"OperatorApplies":  "mpde_solver_operator_applies_total",
+	"PrecondBuilds":    "mpde_solver_precond_builds_total",
+	"GMRESFallbacks":   "mpde_solver_gmres_fallbacks_total",
+	"BatchReuse":       "mpde_solver_batch_reuse_total",
+	"RejectedSteps":    "mpde_solver_step_rejections_total",
+	"Refinements":      "mpde_solver_grid_refinements_total",
+	"AssemblyTime":     "mpde_solver_assembly_seconds_total",
+	"FactorTime":       "mpde_solver_factor_seconds_total",
+}
 
+// statsUnexported names the numeric Stats fields deliberately left out of
+// /metrics, with the reason.
+var statsUnexported = map[string]string{
+	"Residual":      "per-solve convergence detail, visible in traces",
+	"StepNorm":      "per-solve convergence detail, visible in traces",
+	"FillFactor":    "per-factorization diagnostic, not a meaningful sum",
+	"JacobianEvals": "duplicate of Factorizations+Refactorizations, and not threaded through sweep.JobResult",
+	"AcceptedSteps": "derivable from TimeSteps minus RejectedSteps",
+	"PatternBuilds": "complement of PatternReuse; reuse is the signal",
+	"TimeSteps":     "grid/solve-shape descriptor, not load",
+	"Unknowns":      "grid/solve-shape descriptor, not load",
+	"GridPoints":    "grid/solve-shape descriptor, not load",
+	"FinalN1":       "grid/solve-shape descriptor, not load",
+	"FinalN2":       "grid/solve-shape descriptor, not load",
+}
+
+// statsParityGaps walks the numeric fields of types and reports each one
+// that neither maps to a series present in names nor has an unexported
+// reason, and each entry of series or unexported that names no such field.
+func statsParityGaps(types []reflect.Type, series, unexported map[string]string, names map[string]bool) []string {
+	var gaps []string
+	seen := map[string]bool{}
+	for _, typ := range types {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Int, reflect.Int64, reflect.Float64:
+			default:
+				continue // bools, slices: not numeric counters
+			}
+			seen[f.Name] = true
+			metric, ok := series[f.Name]
+			switch {
+			case ok && !names[metric]:
+				gaps = append(gaps, fmt.Sprintf("%s.%s maps to %q but snapshot() has no such point", typ, f.Name, metric))
+			case !ok && unexported[f.Name] == "":
+				gaps = append(gaps, fmt.Sprintf("%s.%s is numeric but neither exported at /metrics nor allowlisted with a reason", typ, f.Name))
+			}
+		}
+	}
+	for _, m := range []map[string]string{series, unexported} {
+		for name := range m {
+			if !seen[name] {
+				gaps = append(gaps, fmt.Sprintf("parity entry %s names no numeric Stats field", name))
+			}
+		}
+	}
+	sort.Strings(gaps)
+	return gaps
+}
+
+// TestSolverStatsMetricsParity walks solver.Stats and analysis.Stats by
+// reflection and asserts every numeric field either has a /metrics point or
+// an allowlist reason — so a new counter cannot silently stay unexported.
+func TestSolverStatsMetricsParity(t *testing.T) {
 	s := New(Options{Logf: t.Logf})
 	names := map[string]bool{}
 	for _, p := range s.metrics.snapshot(s.cache, s.start, s.coord.Stats()) {
 		names[p.Name] = true
 	}
+	types := []reflect.Type{reflect.TypeOf(solver.Stats{}), reflect.TypeOf(analysis.Stats{})}
+	for _, g := range statsParityGaps(types, statsSeries, statsUnexported, names) {
+		t.Error(g)
+	}
+}
 
-	st := reflect.TypeOf(solver.Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		switch f.Type.Kind() {
-		case reflect.Int, reflect.Int64, reflect.Float64:
-		default:
-			continue // bools, slices: not numeric counters
-		}
-		metric, ok := exported[f.Name]
-		if !ok {
-			if !allow[f.Name] {
-				t.Errorf("solver.Stats.%s is numeric but neither exported at /metrics nor allowlisted", f.Name)
+// TestStatsParityGaps pins what the parity walk flags on a fixture struct:
+// an orphan field, a field mapped under an alias to a missing series, and
+// allowlist entries that are missing or stale.
+func TestStatsParityGaps(t *testing.T) {
+	type fixture struct {
+		Iterations   int           // exported under the newton_iters alias
+		Orphan       int           // neither exported nor allowlisted
+		Residual     float64       // allowlisted
+		AssemblyTime time.Duration // exported as seconds
+		Converged    bool          // not numeric: ignored
+	}
+	types := []reflect.Type{reflect.TypeOf(fixture{})}
+	series := map[string]string{
+		"Iterations":   "mpde_solver_newton_iters_total",
+		"AssemblyTime": "mpde_solver_assembly_seconds_total",
+	}
+	names := map[string]bool{"mpde_solver_newton_iters_total": true, "mpde_solver_assembly_seconds_total": true}
+	for _, tc := range []struct {
+		name       string
+		names      map[string]bool
+		unexported map[string]string
+		want       string
+	}{
+		{"orphan field", names,
+			map[string]string{"Residual": "r"},
+			"fixture.Orphan is numeric but neither exported"},
+		{"aliased field without its series", map[string]bool{"mpde_solver_assembly_seconds_total": true},
+			map[string]string{"Residual": "r", "Orphan": "o"},
+			`fixture.Iterations maps to "mpde_solver_newton_iters_total"`},
+		{"allowlisted field dropped from the allowlist", names,
+			map[string]string{"Orphan": "o"},
+			"fixture.Residual is numeric but neither exported"},
+		{"stale allowlist entry", names,
+			map[string]string{"Residual": "r", "Orphan": "o", "Gone": "g"},
+			"parity entry Gone names no numeric Stats field"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gaps := statsParityGaps(types, series, tc.unexported, tc.names)
+			if len(gaps) != 1 || !strings.Contains(gaps[0], tc.want) {
+				t.Fatalf("gaps = %q, want exactly one containing %q", gaps, tc.want)
 			}
-			continue
-		}
-		if !names[metric] {
-			t.Errorf("solver.Stats.%s maps to %q but snapshot() has no such point", f.Name, metric)
-		}
+		})
+	}
+	if gaps := statsParityGaps(types, series, map[string]string{"Residual": "r", "Orphan": "o"}, names); len(gaps) != 0 {
+		t.Fatalf("complete parity reported gaps: %q", gaps)
 	}
 }
 

@@ -3,9 +3,11 @@ package solver
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/la"
+	"repro/internal/obs"
 )
 
 func TestParseLinearSolver(t *testing.T) {
@@ -13,8 +15,7 @@ func TestParseLinearSolver(t *testing.T) {
 		in   string
 		want LinearSolverKind
 	}{
-		{"", DirectSparse}, {"direct", DirectSparse},
-		{"gmres", IterativeGMRES}, {"matfree", MatrixFree},
+		{"", DirectSparse}, {"direct", DirectSparse}, {"matfree", MatrixFree},
 	} {
 		got, err := ParseLinearSolver(tc.in)
 		if err != nil || got != tc.want {
@@ -24,8 +25,38 @@ func TestParseLinearSolver(t *testing.T) {
 			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
 		}
 	}
-	if _, err := ParseLinearSolver("cholesky"); err == nil {
-		t.Fatal("unknown spelling accepted")
+	for _, in := range []string{"cholesky", "gmres"} {
+		_, err := ParseLinearSolver(in)
+		if err == nil || !strings.Contains(err.Error(), "direct") || !strings.Contains(err.Error(), "matfree") {
+			t.Fatalf("ParseLinearSolver(%q) error = %v, want one naming direct and matfree", in, err)
+		}
+	}
+}
+
+// TestSolveRejectsUnknownLinearSolver: a kind outside {DirectSparse,
+// MatrixFree} (a corrupt option, or the retired value 1 decoded from an old
+// shard) must fail before any assembly instead of running direct silently.
+func TestSolveRejectsUnknownLinearSolver(t *testing.T) {
+	for _, k := range []LinearSolverKind{1, 7, -1} {
+		t.Run(k.String(), func(t *testing.T) {
+			evals := 0
+			sys := FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
+				evals++
+				return coupledCircle().F(x, jac)
+			}}
+			opt := NewOptions()
+			opt.Linear = k
+			_, err := Solve(context.Background(), sys, []float64{2, 1}, opt)
+			if err == nil || !strings.Contains(err.Error(), "direct or matfree") {
+				t.Fatalf("Solve with Linear=%d: err = %v, want an unknown-solver error", int(k), err)
+			}
+			if evals != 0 {
+				t.Fatalf("Solve evaluated the system %d times before rejecting the kind", evals)
+			}
+			if k.String() == "direct" {
+				t.Fatalf("LinearSolverKind(%d).String() reports direct", int(k))
+			}
+		})
 	}
 }
 
@@ -92,18 +123,74 @@ func coupledCircle() FuncSystem {
 	}}
 }
 
-// TestNewtonIterativeStats: the GMRES path must count its ILU0 builds and
-// must not report a direct-solver fill factor.
+// jacMFS is a MatrixFreeSystem whose Eval also returns the assembled
+// Jacobian, so a failed GMRES solve can be rescued by a direct
+// factorisation.
+type jacMFS struct{ FuncSystem }
+
+func (s jacMFS) Linearize(x []float64) ([]float64, la.Operator, error) {
+	r, j, err := s.Eval(x, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, la.AsOperator(j), nil
+}
+func (s jacMFS) BuildPreconditioner() (la.Preconditioner, error) { return nil, nil }
+
+// TestNewtonGMRESFallbackCounted starves matrix-free GMRES so the linear
+// solve fails over to the direct factorisation: the Jacobian is a cyclic
+// permutation (unpreconditioned GMRES needs all 3 Krylov steps) and the
+// iteration budget is below the Krylov degree. Newton must still converge
+// via the rescue, and the events must be counted and traced.
+func TestNewtonGMRESFallbackCounted(t *testing.T) {
+	perm := jacMFS{FuncSystem{N: 3, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
+		r := []float64{x[1] - 1, x[2] - 2, x[0] - 3}
+		var j *la.CSR
+		if jac {
+			tr := la.NewTriplet(3, 3)
+			tr.Append(0, 1, 1)
+			tr.Append(1, 2, 1)
+			tr.Append(2, 0, 1)
+			j = tr.Compress()
+		}
+		return r, j, nil
+	}}}
+	x := []float64{0, 0, 0}
+	opt := NewOptions()
+	opt.Linear = MatrixFree
+	opt.GMRESIter = 2 // the cyclic operator needs 3 Krylov steps
+	ctx := obs.WithRecorder(context.Background(), obs.NewRecorder())
+	st, err := Solve(ctx, perm, x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.GMRESFallbacks == 0 {
+		t.Fatal("starved GMRES produced no counted fallbacks")
+	}
+	if st.Factorizations+st.Refactorizations == 0 {
+		t.Fatal("fallback solved without a factorisation")
+	}
+	if len(st.Trace) == 0 || !st.Trace[0].Fallback {
+		t.Fatalf("first iteration's trace record does not flag the fallback: %+v", st.Trace)
+	}
+	if math.Abs(x[0]-3) > 1e-8 || math.Abs(x[1]-1) > 1e-8 || math.Abs(x[2]-2) > 1e-8 {
+		t.Fatalf("solution %v", x)
+	}
+}
+
+// TestNewtonIterativeStats: the matrix-free path must count one
+// preconditioner build per Jacobian refresh and, with no fallback, must not
+// report a direct-solver fill factor.
 func TestNewtonIterativeStats(t *testing.T) {
 	x := []float64{2, 1}
 	opt := NewOptions()
-	opt.Linear = IterativeGMRES
-	st, err := Solve(context.Background(), coupledCircle(), x, opt)
+	opt.Linear = MatrixFree
+	st, err := Solve(context.Background(), jacMFS{coupledCircle()}, x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.PrecondBuilds == 0 {
-		t.Fatal("ILU0 preconditioner builds not counted")
+		t.Fatal("preconditioner builds not counted")
 	}
 	if st.PrecondBuilds != st.JacobianEvals {
 		t.Fatalf("PrecondBuilds = %d, JacobianEvals = %d: want one build per refresh",
@@ -115,43 +202,6 @@ func TestNewtonIterativeStats(t *testing.T) {
 	if st.GMRESFallbacks != 0 || st.Factorizations != 0 {
 		t.Fatalf("healthy GMRES path fell back: fallbacks=%d factorizations=%d",
 			st.GMRESFallbacks, st.Factorizations)
-	}
-}
-
-// TestNewtonGMRESFallbackCounted starves GMRES so the linear solve fails
-// over to the direct factorisation: the Jacobian is a cyclic permutation
-// (no structural diagonal, so ILU0 cannot build and GMRES runs
-// unpreconditioned) and the iteration budget is below the Krylov degree.
-// Newton must still converge via the rescue, and the events must be counted.
-func TestNewtonGMRESFallbackCounted(t *testing.T) {
-	perm := FuncSystem{N: 3, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
-		r := []float64{x[1] - 1, x[2] - 2, x[0] - 3}
-		var j *la.CSR
-		if jac {
-			tr := la.NewTriplet(3, 3)
-			tr.Append(0, 1, 1)
-			tr.Append(1, 2, 1)
-			tr.Append(2, 0, 1)
-			j = tr.Compress()
-		}
-		return r, j, nil
-	}}
-	x := []float64{0, 0, 0}
-	opt := NewOptions()
-	opt.Linear = IterativeGMRES
-	opt.GMRESIter = 2 // the cyclic operator needs 3 Krylov steps
-	st, err := Solve(context.Background(), perm, x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.GMRESFallbacks == 0 {
-		t.Fatal("starved GMRES produced no counted fallbacks")
-	}
-	if st.Factorizations+st.Refactorizations == 0 {
-		t.Fatal("fallback solved without a factorisation")
-	}
-	if math.Abs(x[0]-3) > 1e-8 || math.Abs(x[1]-1) > 1e-8 || math.Abs(x[2]-2) > 1e-8 {
-		t.Fatalf("solution %v", x)
 	}
 }
 

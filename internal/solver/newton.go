@@ -40,54 +40,52 @@ func (s FuncSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
 	return s.F(x, jac)
 }
 
-// LinearSolverKind selects how Newton updates are solved.
+// LinearSolverKind selects how Newton updates are solved. Its values travel
+// as integers in the dispatch wire format and in journalled shards, so each
+// is pinned explicitly: 1 is reserved (it was the retired ILU(0)-GMRES mode)
+// and must not be reused.
 type LinearSolverKind int
 
 const (
 	// DirectSparse uses the Gilbert–Peierls sparse LU (default).
-	DirectSparse LinearSolverKind = iota
-	// IterativeGMRES uses ILU(0)-preconditioned restarted GMRES; this is the
-	// "iterative linear solution methods" configuration from the paper's
-	// speedup discussion.
-	IterativeGMRES
-	// MatrixFree uses GMRES with a Jacobian-vector product supplied by the
-	// system (directional residual differencing) instead of an assembled
-	// Jacobian; the system must implement MatrixFreeSystem. Large adaptive
-	// MPDE grids use it to stop paying LU fill entirely.
-	MatrixFree
+	DirectSparse LinearSolverKind = 0
+	// MatrixFree uses GMRES with an exact Jacobian-vector product supplied
+	// by the system instead of an assembled Jacobian; the system must
+	// implement MatrixFreeSystem. Large MPDE grids use it to stop paying LU
+	// fill entirely.
+	MatrixFree LinearSolverKind = 2
 )
 
 // String returns the registry spelling of the kind.
 func (k LinearSolverKind) String() string {
 	switch k {
-	case IterativeGMRES:
-		return "gmres"
+	case DirectSparse:
+		return "direct"
 	case MatrixFree:
 		return "matfree"
 	default:
-		return "direct"
+		return fmt.Sprintf("LinearSolverKind(%d)", int(k))
 	}
 }
 
-// ParseLinearSolver maps the registry spelling ("direct", "gmres",
-// "matfree") to its kind. The empty string selects the default (direct).
+// ParseLinearSolver maps the registry spelling ("direct", "matfree") to its
+// kind. The empty string selects the default (direct).
 func ParseLinearSolver(s string) (LinearSolverKind, error) {
 	switch s {
 	case "", "direct":
 		return DirectSparse, nil
-	case "gmres":
-		return IterativeGMRES, nil
 	case "matfree":
 		return MatrixFree, nil
 	default:
-		return DirectSparse, fmt.Errorf("solver: unknown linear solver %q (want direct, gmres, or matfree)", s)
+		return DirectSparse, fmt.Errorf("solver: unknown linear solver %q (want direct or matfree)", s)
 	}
 }
 
 // MatrixFreeSystem is a System that can additionally present its Jacobian as
 // an abstract operator. Linearize fixes the linearisation point: it returns
-// the residual at x and an operator applying J(x)·v (typically by directional
-// residual differencing), valid until the next Linearize call.
+// the residual at x and an operator applying the exact J(x)·v, valid until
+// the next Linearize call. Eval(x, true) must still return the assembled
+// Jacobian: a failed GMRES solve is rescued by a direct factorisation of it.
 // BuildPreconditioner returns a preconditioner for the current linearisation
 // point (nil is allowed and means unpreconditioned).
 type MatrixFreeSystem interface {
@@ -142,7 +140,7 @@ func NewOptions() Options {
 // Fill populates every unset (zero) numeric field with its documented
 // default, leaving fields the caller has set untouched. Analyses use it to
 // merge caller-provided options with their defaults non-destructively: a
-// caller who only sets Interrupt or Linear keeps those while the tolerances
+// caller who only sets Linear or Progress keeps those while the tolerances
 // default. Note Damping cannot be defaulted here (false is a meaningful
 // setting); NewOptions enables it.
 func (o *Options) Fill() {
@@ -182,7 +180,7 @@ type Stats struct {
 	StepNorm    float64 // final weighted step norm (≤ 1 at convergence)
 	Converged   bool
 	Halvings    int // total damping halvings
-	LinearIters int // total GMRES iterations (iterative mode)
+	LinearIters int // total GMRES iterations (matrix-free mode)
 	// JacobianEvals counts full (residual + Jacobian) system evaluations;
 	// with JacobianRefresh > 1 it runs below Iterations.
 	JacobianEvals int
@@ -192,11 +190,12 @@ type Stats struct {
 	Factorizations   int
 	Refactorizations int
 	// FillFactor is the L+U fill of the last direct factorisation relative
-	// to the Jacobian's nonzeros (0 in pure GMRES solves).
+	// to the Jacobian's nonzeros (0 when no factorisation ran, as in a
+	// matrix-free solve without fallbacks).
 	FillFactor float64
 	// OperatorApplies counts matrix-free Jacobian-vector products;
-	// PrecondBuilds counts preconditioner constructions (ILU0 or
-	// matrix-free); GMRESFallbacks counts GMRES failures that were rescued
+	// PrecondBuilds counts matrix-free preconditioner constructions;
+	// GMRESFallbacks counts GMRES failures that were rescued
 	// by a direct solve — a thrashing iterative path shows up here.
 	// BatchReuse counts factorisations that started from a shared symbolic
 	// analysis published by another solve (Options.ShareLU hits).
@@ -392,11 +391,15 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 		return Stats{}, fmt.Errorf("solver: initial guess size %d, want %d", len(x), n)
 	}
 	var mfs MatrixFreeSystem
-	if opt.Linear == MatrixFree {
+	switch opt.Linear {
+	case DirectSparse:
+	case MatrixFree:
 		var ok bool
 		if mfs, ok = sys.(MatrixFreeSystem); !ok {
 			return Stats{}, errors.New("solver: Options.Linear=MatrixFree requires a system implementing MatrixFreeSystem")
 		}
+	default: //mpde:coldpath an unknown kind rejects the solve up front
+		return Stats{}, fmt.Errorf("solver: unknown linear solver %v (want direct or matfree)", opt.Linear)
 	}
 	interrupt := interruptShim(ctx)
 	var st Stats
@@ -432,10 +435,8 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 	rNorm, residCap := math.NaN(), 0.0
 
 	var direct directFactor
-	var j *la.CSR       // current (possibly stale) Jacobian, GMRES operator
-	var op la.Operator  // matrix-free Jacobian operator at the refresh point
-	var cop la.Operator // op wrapped with the OperatorApplies counter; boxed
-	// once per Jacobian refresh rather than re-boxed every iteration
+	var cop la.Operator // matrix-free J·v with the OperatorApplies counter;
+	// boxed once per Jacobian refresh rather than re-boxed every iteration
 	var prec la.Preconditioner
 	// itBase snapshots the cumulative counters at the top of each iteration
 	// so trace records carry per-iteration deltas.
@@ -463,8 +464,7 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 				}
 				st.JacobianEvals++
 				copy(r, rr)
-				op = oo
-				cop = countingOp{op, &st.OperatorApplies} //mpde:alloc-ok boxed once per refresh
+				cop = countingOp{oo, &st.OperatorApplies} //mpde:alloc-ok boxed once per refresh
 				t0 = time.Now()
 				if p, perr := mfs.BuildPreconditioner(); perr == nil {
 					prec = p
@@ -478,27 +478,12 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 				if err != nil {
 					return st, err
 				}
-				j = jj
 				t0 := time.Now()
-				switch opt.Linear {
-				case IterativeGMRES:
-					if p, perr := la.NewILU0(j); perr == nil {
-						prec = p
-						st.PrecondBuilds++
-						// The iterative path has no direct fill; clear any
-						// stale value a prior direct fallback left behind.
-						st.FillFactor = 0
-					} else {
-						prec = nil
-					}
-				default:
-					if err := direct.factor(j, &st, opt); err != nil {
-						st.FactorTime += time.Since(t0)
-						//mpde:coldpath a failed factorisation aborts the solve
-						return st, fmt.Errorf("solver: Jacobian factorisation failed at iter %d: %w", it, err)
-					}
-				}
+				err = direct.factor(jj, &st, opt)
 				st.FactorTime += time.Since(t0)
+				if err != nil { //mpde:coldpath a failed factorisation aborts the solve
+					return st, fmt.Errorf("solver: Jacobian factorisation failed at iter %d: %w", it, err)
+				}
 			}
 			if it == 0 {
 				rNorm = la.NormInf(r)
@@ -513,8 +498,7 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 		for i := range neg {
 			neg[i] = -r[i]
 		}
-		switch opt.Linear {
-		case MatrixFree:
+		if opt.Linear == MatrixFree {
 			la.Fill(dx, 0)
 			res, gerr := gmres.Solve(cop, neg, dx, la.GMRESOptions{
 				Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, M: prec})
@@ -535,23 +519,7 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 				}
 				direct.f.Solve(neg, dx)
 			}
-		case IterativeGMRES:
-			la.Fill(dx, 0)
-			res, gerr := gmres.Solve(la.AsOperator(j), neg, dx, la.GMRESOptions{
-				Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, M: prec})
-			st.LinearIters += res.Iterations
-			if gerr != nil {
-				// Fall back to a direct solve rather than failing Newton.
-				st.GMRESFallbacks++
-				t0 := time.Now()
-				err := direct.factor(j, &st, opt)
-				st.FactorTime += time.Since(t0)
-				if err != nil {
-					return st, fmt.Errorf("solver: linear solve failed: %w", err)
-				}
-				direct.f.Solve(neg, dx)
-			}
-		default:
+		} else {
 			direct.f.Solve(neg, dx)
 		}
 		// Optional ∞-norm clamp (device-voltage limiting in the large).
