@@ -159,6 +159,17 @@ func TestQPSSPatternAndFactorizationReuse(t *testing.T) {
 	}
 }
 
+// TestQPSSFillFactorGate gates the fill-reducing column ordering of the
+// sparse LU on a deterministic count, the regression mixer's LU fill at
+// 24×16. Factored in natural column order it was 3.9001; the minimum degree
+// order must keep at most half of that.
+func TestQPSSFillFactorGate(t *testing.T) {
+	const naturalOrderFill = 3.9001
+	if fill := solveMixer(t, 0).Stats.FillFactor; fill <= 0 || fill > naturalOrderFill/2 {
+		t.Fatalf("24×16 LU fill factor %.4f, want in (0, %.4f]", fill, naturalOrderFill/2)
+	}
+}
+
 // TestQPSSJacobianRefreshPolicy: the modified-Newton knob must still
 // converge to the same answer within tolerance while evaluating fewer
 // Jacobians than iterations.

@@ -223,6 +223,8 @@ type workspace struct {
 	q, fb []float64
 	cs    []*la.CSR // captured C blocks
 	gs    []*la.CSR // captured G blocks
+
+	pre *la.SparseLU // preconditioner factorisation, refactored across iterations
 }
 
 func newWorkspace(ckt *circuit.Circuit, opt Options, n int) *workspace {
@@ -393,9 +395,10 @@ func (w *workspace) fdPreconditioner(x []float64) (la.Preconditioner, error) {
 			}
 		}
 	}
-	f, err := la.SparseLUFactor(tr.Compress(), 0.001)
+	f, _, err := la.RefactorOrFactor(w.pre, tr.Compress(), 0.001)
 	if err != nil {
 		return nil, err
 	}
+	w.pre = f
 	return la.SparseLUPreconditioner{F: f}, nil
 }

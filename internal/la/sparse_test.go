@@ -159,6 +159,37 @@ func TestSparseLUSingular(t *testing.T) {
 	}
 }
 
+// The diagonal preference must only consider a diagonal entry inside the
+// column's nonzero pattern. Eliminating column 0 of this matrix leaves
+// a₁₀ = 5 behind as an L entry; column 1's pattern is row 2 alone, so a
+// scratch value left over from column 0 must not make row 1 its pivot. All
+// six symmetric permutations are tried, whatever order the columns are
+// eliminated in.
+func TestSparseLUDiagonalPreferenceStaysInPattern(t *testing.T) {
+	entries := [][3]float64{{0, 0, 10}, {1, 0, 5}, {2, 1, 1}, {0, 2, 1}, {1, 2, 1}}
+	for _, p := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		tr := NewTriplet(3, 3)
+		for _, e := range entries {
+			tr.Append(p[int(e[0])], p[int(e[1])], e[2])
+		}
+		a := tr.Compress()
+		f, err := SparseLUFactor(a, 0.001)
+		if err != nil {
+			t.Fatalf("perm %v: %v", p, err)
+		}
+		b := []float64{1, 2, 3}
+		x := make([]float64, 3)
+		f.Solve(b, x)
+		r := make([]float64, 3)
+		a.MulVec(x, r)
+		for i := range r {
+			if !almostEqual(r[i], b[i], 1e-12) {
+				t.Fatalf("perm %v: A·x = %v, want %v", p, r, b)
+			}
+		}
+	}
+}
+
 func TestSparseLUPermutedIdentity(t *testing.T) {
 	// A pure permutation matrix exercises pivoting with no arithmetic.
 	n := 6

@@ -3,52 +3,62 @@ package la
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
 // SparseLU is a left-looking sparse LU factorisation with partial pivoting
-// (Gilbert–Peierls, in the style of CSparse's cs_lu): P·A = L·U, with L unit
-// lower triangular. Both factors are stored column-wise.
+// (Gilbert–Peierls, in the style of CSparse's cs_lu): P·A·Q = L·U, with L
+// unit lower triangular. Q is a fill-reducing column order, an approximate
+// minimum degree ordering of A+Aᵀ computed in the symbolic phase; P is the
+// row order partial pivoting chooses as the columns are eliminated. Both
+// factors are stored column-wise.
 //
-// A factorisation remembers its symbolic analysis — the elimination pattern,
-// the pivot order, and the column view of A — so a matrix with the same
-// sparsity pattern but new values can be re-decomposed by Refactor at the
-// cost of the numeric phase alone. This is the hot-path configuration of the
-// MPDE Newton iteration, whose Jacobian pattern is fixed across iterations.
+// A factorisation remembers its symbolic analysis — the column order, the
+// elimination pattern, the pivot order, and the column view of A — so a
+// matrix with the same sparsity pattern but new values can be re-decomposed
+// by Refactor at the cost of the numeric phase alone. This is the hot-path
+// configuration of the MPDE Newton iteration, whose Jacobian pattern is
+// fixed across iterations.
 type SparseLU struct {
 	n          int
 	lp, li     []int
 	lx         []float64
 	up, ui     []int
 	ux         []float64
+	q          []int // column k of L·U is column q[k] of A
 	pinv       []int // original row i is pivotal for column pinv[i]
 	FillFactor float64
-	// FactorWall is the wall-clock time of the full (symbolic+numeric)
-	// factorisation; RefactorWall accumulates the numeric-only Refactor
-	// times against this analysis. Observability only — excluded from every
-	// byte-stable export.
+	// FactorWall is the wall-clock time of the full factorisation, the
+	// column ordering and the rest of the symbolic phase included;
+	// RefactorWall accumulates the numeric-only Refactor times against this
+	// analysis. Observability only — excluded from every byte-stable export.
 	FactorWall   time.Duration
 	RefactorWall time.Duration
 
 	// Symbolic-reuse state: a snapshot of the pattern the factorisation was
 	// computed from (copies, not references — the caller may rebuild its
 	// matrix in place, so aliasing the original slices would make the
-	// pattern check vacuous) and the CSC view of A with a gather map into
-	// the CSR value array.
+	// pattern check vacuous) and the CSC view of A, its columns in q
+	// order, with a gather map into the CSR value array.
 	aRowPtr, aColIdx []int
 	atp, ati, atMap  []int
 	work             []float64 // refactor scratch
 	swork            []float64 // solve scratch
 }
 
-// transposed column view of a with a gather map back into a.Val.
-func cscView(a *CSR) (atp, ati, atMap []int, atv []float64) {
+// cscView is the column view of a with its columns taken in q order
+// (column k of the view is column q[k] of a), plus a gather map back into
+// a.Val.
+func cscView(a *CSR, q []int) (atp, ati, atMap []int, atv []float64) {
 	n := a.Cols
 	nnz := a.NNZ()
+	pos := make([]int, n) // pos[j] is the position of column j in q
+	for k, j := range q {
+		pos[j] = k
+	}
 	atp = make([]int, n+1)
 	for _, j := range a.ColIdx {
-		atp[j+1]++
+		atp[pos[j]+1]++
 	}
 	for j := 0; j < n; j++ {
 		atp[j+1] += atp[j]
@@ -60,7 +70,7 @@ func cscView(a *CSR) (atp, ati, atMap []int, atv []float64) {
 	copy(next, atp[:n])
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
+			j := pos[a.ColIdx[k]]
 			p := next[j]
 			ati[p] = i
 			atMap[p] = k
@@ -71,10 +81,15 @@ func cscView(a *CSR) (atp, ati, atMap []int, atv []float64) {
 	return atp, ati, atMap, atv
 }
 
-// SparseLUFactor computes P·A = L·U with threshold partial pivoting. tol in
-// (0,1] controls diagonal preference: the diagonal entry is kept as pivot when
-// |a_kk| ≥ tol·max|column|; tol=1 is classic partial pivoting, tol≈0.001 keeps
-// fill low on diagonally dominant MNA systems. A must be square.
+// SparseLUFactor computes P·A·Q = L·U. The symbolic phase orders the
+// columns (Q) by approximate minimum degree on the pattern of A+Aᵀ, so the
+// order depends on the pattern alone; the numeric phase then picks rows (P)
+// by threshold partial pivoting. tol in (0,1] controls diagonal preference:
+// when eliminating column j of A, the diagonal entry a_jj is kept as pivot
+// when |a_jj| ≥ tol·max|column|; tol=1 is classic partial pivoting,
+// tol≈0.001 keeps fill low on diagonally dominant MNA systems. A must be
+// square. A structurally or numerically singular A fails with ErrSingular,
+// naming the column of A where elimination broke down.
 func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 	t0 := time.Now()
 	if a.Rows != a.Cols {
@@ -84,15 +99,21 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 		tol = 1
 	}
 	n := a.Rows
-	// Column access: the CSC view of A (row j of Aᵀ is column j of A).
-	atp, ati, atMap, atv := cscView(a)
+	q := amdOrder(a)
+	// Column access: the CSC view of A in elimination order.
+	atp, ati, atMap, atv := cscView(a, q)
 
-	f := &SparseLU{n: n,
+	f := &SparseLU{n: n, q: q,
 		aRowPtr: append([]int(nil), a.RowPtr...),
 		aColIdx: append([]int(nil), a.ColIdx...),
 		atp:     atp, ati: ati, atMap: atMap}
 	f.lp = make([]int, n+1)
 	f.up = make([]int, n+1)
+	// Room for each factor to hold twice A's entries plus the diagonal
+	// (fill up to about 4) before append has to grow it.
+	est := 2*a.NNZ() + n
+	f.li, f.lx = make([]int, 0, est), make([]float64, 0, est)
+	f.ui, f.ux = make([]int, 0, est), make([]float64, 0, est)
 	f.pinv = make([]int, n)
 	for i := range f.pinv {
 		f.pinv[i] = -1
@@ -146,10 +167,8 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 				}
 			}
 		}
-		// --- numeric: scatter A(:,k) and run the sparse triangular solve ---
-		for p := top; p < n; p++ {
-			x[xi[p]] = 0
-		}
+		// --- numeric: scatter A(:,q[k]) and run the sparse triangular solve
+		// (x is zero outside the pattern: each column clears its own) ---
 		for p := atp[k]; p < atp[k+1]; p++ {
 			x[ati[p]] = atv[p]
 		}
@@ -174,16 +193,19 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 				}
 			}
 		}
+		col := q[k]
 		if ipiv < 0 || amax == 0 {
-			return nil, fmt.Errorf("%w (column %d)", ErrSingular, k)
+			return nil, fmt.Errorf("%w (column %d)", ErrSingular, col)
 		}
 		// Prefer the diagonal when it is acceptably large (reduces fill).
-		if f.pinv[k] < 0 && math.Abs(x[k]) >= tol*amax {
-			ipiv = k
+		if f.pinv[col] < 0 && math.Abs(x[col]) >= tol*amax {
+			ipiv = col
 		}
 		pivot := x[ipiv]
 		f.pinv[ipiv] = k
-		// --- append column k of U (pivotal rows) and L (non-pivotal rows) ---
+		// --- append column k of U (pivotal rows) and L (non-pivotal rows).
+		// U keeps the topological order of xi, the order this column was
+		// eliminated in, so Refactor replays the same arithmetic. ---
 		for p := top; p < n; p++ {
 			j := xi[p]
 			if jn := f.pinv[j]; jn >= 0 && j != ipiv {
@@ -203,6 +225,7 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 				f.li = append(f.li, j)
 				f.lx = append(f.lx, x[j]/pivot)
 			}
+			x[j] = 0
 		}
 		f.lp[k+1] = len(f.lx)
 	}
@@ -210,30 +233,11 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 	for p := range f.li {
 		f.li[p] = f.pinv[f.li[p]]
 	}
-	// Sort each U column's off-diagonal entries by ascending pivotal row
-	// (keeping the diagonal last). Solve is order-independent within a
-	// column; Refactor relies on ascending order being topological.
-	for k := 0; k < n; k++ {
-		lo, hi := f.up[k], f.up[k+1]-1
-		sort.Sort(uSeg{f.ui[lo:hi], f.ux[lo:hi]})
-	}
 	if nnz := a.NNZ(); nnz > 0 {
 		f.FillFactor = float64(len(f.lx)+len(f.ux)) / float64(nnz)
 	}
 	f.FactorWall = time.Since(t0)
 	return f, nil
-}
-
-type uSeg struct {
-	row []int
-	val []float64
-}
-
-func (s uSeg) Len() int           { return len(s.row) }
-func (s uSeg) Less(i, j int) bool { return s.row[i] < s.row[j] }
-func (s uSeg) Swap(i, j int) {
-	s.row[i], s.row[j] = s.row[j], s.row[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
 // refactorGrowth bounds the element growth a pivot-order-preserving
@@ -280,6 +284,21 @@ func (f *SparseLU) Refactor(a *CSR) error {
 	return err
 }
 
+// RefactorOrFactor returns a factorisation of a, reusing f where it can:
+// when a has the pattern f was computed from and f's frozen pivot order
+// stays stable, f is refactored in place and refactored is true. Otherwise
+// (f nil, a new pattern, or an unstable pivot, after which f's values are
+// unusable) it returns a fresh SparseLUFactor(a, tol). A loop that factors
+// a same-pattern matrix at every step thus pays the symbolic phase, the
+// column ordering included, once.
+func RefactorOrFactor(f *SparseLU, a *CSR, tol float64) (g *SparseLU, refactored bool, err error) {
+	if f != nil && f.SamePattern(a) && f.Refactor(a) == nil {
+		return f, true, nil
+	}
+	g, err = SparseLUFactor(a, tol)
+	return g, false, err
+}
+
 // refactorInto runs the numeric-only refactorisation against the shared
 // symbolic analysis, writing the factors into lx/ux (which must have the
 // factorisation's own layout — either its private arrays or a batch slot
@@ -307,9 +326,8 @@ func (f *SparseLU) refactorInto(a *CSR, lx, ux []float64) error {
 		for p := f.atp[k]; p < f.atp[k+1]; p++ {
 			x[f.pinv[f.ati[p]]] = a.Val[f.atMap[p]]
 		}
-		// Eliminate with the already-refactored columns: U's off-diagonal
-		// entries ascend in pivotal order, which is topological here because
-		// L(:,j) only updates rows with pivotal index > j.
+		// Eliminate with the already-refactored columns, in the
+		// topological order U's off-diagonal entries were stored in.
 		for p := f.up[k]; p < f.up[k+1]-1; p++ {
 			j := f.ui[p]
 			xj := x[j]
@@ -329,7 +347,7 @@ func (f *SparseLU) refactorInto(a *CSR, lx, ux []float64) error {
 			}
 		}
 		if pivot == 0 || math.IsNaN(pivot) || maxBelow > refactorGrowth*math.Abs(pivot) { //mpde:coldpath singular pivot aborts the refactor
-			return fmt.Errorf("%w (refactor: unstable pivot %.3e at column %d)", ErrSingular, pivot, k)
+			return fmt.Errorf("%w (refactor: unstable pivot %.3e at column %d)", ErrSingular, pivot, f.q[k])
 		}
 		ux[f.up[k+1]-1] = pivot
 		for q := f.lp[k] + 1; q < f.lp[k+1]; q++ {
@@ -374,7 +392,7 @@ func (f *SparseLU) solveWith(lx, ux, b, x []float64) {
 			y[f.li[p]] -= lx[p] * yj
 		}
 	}
-	// Backward: U·x = z (diagonal last in each column).
+	// Backward: U·z' = z (diagonal last in each column), then x = Q·z'.
 	for j := n - 1; j >= 0; j-- {
 		d := ux[f.up[j+1]-1]
 		y[j] /= d
@@ -386,15 +404,18 @@ func (f *SparseLU) solveWith(lx, ux, b, x []float64) {
 			y[f.ui[p]] -= ux[p] * yj
 		}
 	}
-	copy(x, y)
+	for k, j := range f.q {
+		x[j] = y[k]
+	}
 }
 
 // CloneSymbolic returns a factorisation sharing this one's symbolic analysis
-// (pattern, pivot order, CSC gather map — all read-only after factorisation)
-// with fresh private value arrays and scratch. The clone must be Refactored
-// against a same-pattern matrix before its factors are meaningful; until then
-// it carries this factorisation's values. Clones are independent: each owns
-// its scratch, so different goroutines may use different clones concurrently.
+// (pattern, column and pivot orders, CSC gather map — all read-only after
+// factorisation) with fresh private value arrays and scratch. The clone must
+// be Refactored against a same-pattern matrix before its factors are
+// meaningful; until then it carries this factorisation's values. Clones are
+// independent: each owns its scratch, so different goroutines may use
+// different clones concurrently.
 func (f *SparseLU) CloneSymbolic() *SparseLU {
 	c := *f
 	c.lx = append([]float64(nil), f.lx...)

@@ -106,6 +106,7 @@ type integrator struct {
 	h     float64
 	steps int
 	opt   solver.Options
+	sens  *la.SparseLU // sensitivity factorisation, refactored across steps
 }
 
 // propagate integrates one period from x0. When wantM is set it also
@@ -157,10 +158,11 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 		if wantM {
 			// M ← (C/h + G)⁻¹ · (Cprev/h) · M.
 			a := combine(r.C, r.G, 1/g.h)
-			f, err := la.SparseLUFactor(a, 0.001)
+			f, _, err := la.RefactorOrFactor(g.sens, a, 0.001)
 			if err != nil {
 				return nil, nil, nil, totalSteps, fmt.Errorf("shooting: sensitivity factorisation failed at step %d: %w", k, err)
 			}
+			g.sens = f
 			w := la.NewDense(n, n)
 			// w = (Cprev/h)·M  (sparse × dense, row by row).
 			for i := 0; i < n; i++ {

@@ -301,22 +301,19 @@ func (d *directFactor) factor(j *la.CSR, st *Stats, opt Options) error {
 			}
 		}
 	}
-	if d.f != nil && d.f.SamePattern(j) {
-		if err := d.f.Refactor(j); err == nil {
-			st.Refactorizations++
-			st.FillFactor = d.f.FillFactor
-			return nil
-		}
-		// Unstable under the frozen pivot order — fall through to a fresh
-		// factorisation with pivoting.
-	}
-	f, err := la.SparseLUFactor(j, opt.PivotTol)
+	// Refactor under the frozen pivot order when the pattern holds and the
+	// pivots stay stable; otherwise a fresh factorisation with pivoting.
+	f, refactored, err := la.RefactorOrFactor(d.f, j, opt.PivotTol)
 	if err != nil {
 		return err
 	}
 	d.f = f
-	st.Factorizations++
 	st.FillFactor = f.FillFactor
+	if refactored {
+		st.Refactorizations++
+		return nil
+	}
+	st.Factorizations++
 	opt.ShareLU.Publish(f)
 	return nil
 }
